@@ -6,7 +6,6 @@
 #include "c3i/terrain/scenario_gen.hpp"
 #include "c3i/threat/scenario_gen.hpp"
 #include "core/contracts.hpp"
-#include "mta/partitioned_machine.hpp"
 #include "obs/run_record.hpp"
 #include "platforms/paper.hpp"
 #include "sim/sweep.hpp"
@@ -330,30 +329,10 @@ MtaPoint mta_terrain_fine_point(const Testbed& tb, int processors,
 }
 
 std::vector<double> run_mta_points(const std::vector<MtaPoint>& points,
-                                   int lanes, int jobs, int run_threads) {
-  if (run_threads > 1) {
-    // Intra-run parallelism: each point's single simulation is partitioned
-    // across run_threads host workers; --jobs still schedules whole points
-    // concurrently on top.
-    return sim::run_sweep(points.size(), jobs, [&](std::size_t i) {
-      const MtaPoint& p = points[i];
-      const obs::ScopedScenarioLabel scenario_label(p.batch.scenario);
-      mta::Machine machine(p.batch.config);
-      mta::ProgramPool pool;
-      p.batch.build(machine, pool);
-      return mta::run_partitioned(machine, run_threads).seconds *
-             p.seconds_factor;
-    });
-  }
-  std::vector<mta::BatchPoint> batch;
-  batch.reserve(points.size());
-  for (const MtaPoint& p : points) batch.push_back(p.batch);
-  const std::vector<mta::MtaRunResult> results =
-      mta::run_batched_sweep(batch, lanes, jobs);
-  std::vector<double> seconds(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i)
-    seconds[i] = results[i].seconds * points[i].seconds_factor;
-  return seconds;
+                                   int jobs) {
+  return sim::run_sweep(points.size(), jobs, [&](std::size_t i) {
+    return run_point_scalar(points[i]);
+  });
 }
 
 double mta_threat_seq_seconds(const Testbed& tb) {

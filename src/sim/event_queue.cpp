@@ -8,25 +8,15 @@
 
 namespace tc3i::sim {
 
-namespace {
-
-obs::Counter& scheduled_counter() {
-  static obs::Counter& c = obs::default_registry().counter(
-      "sim.eventq.scheduled");
-  return c;
-}
-
-obs::Counter& processed_counter() {
-  static obs::Counter& c = obs::default_registry().counter(
-      "sim.eventq.processed");
-  return c;
-}
-
-}  // namespace
+EventQueue::EventQueue()
+    : scheduled_counter_(
+          &obs::default_registry().counter("sim.eventq.scheduled")),
+      processed_counter_(
+          &obs::default_registry().counter("sim.eventq.processed")) {}
 
 void EventQueue::schedule_at(Cycles at, Callback fn) {
   TC3I_EXPECTS(at >= now_);
-  scheduled_counter().add();
+  scheduled_counter_->add();
   heap_.push(Event{at, next_seq_++, std::move(fn)});
 }
 
@@ -46,7 +36,7 @@ Cycles EventQueue::run_until(Cycles until) {
     heap_.pop();
     now_ = ev.at;
     ++processed_;
-    processed_counter().add();
+    processed_counter_->add();
     ev.fn();
   }
   return now_;
@@ -58,7 +48,7 @@ bool EventQueue::step() {
   heap_.pop();
   now_ = ev.at;
   ++processed_;
-  processed_counter().add();
+  processed_counter_->add();
   ev.fn();
   return true;
 }

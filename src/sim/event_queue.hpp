@@ -14,11 +14,20 @@
 
 #include "core/units.hpp"
 
+namespace tc3i::obs {
+class Counter;
+}
+
 namespace tc3i::sim {
 
 class EventQueue {
  public:
   using Callback = std::function<void()>;
+
+  /// Resolves the "sim.eventq." counters in obs::default_registry() as
+  /// current at construction (the registry must outlive the queue, the
+  /// same contract as the machine models' metric pointers).
+  EventQueue();
 
   /// Schedules `fn` to run at absolute time `at` (>= now()).
   void schedule_at(Cycles at, Callback fn);
@@ -57,6 +66,8 @@ class EventQueue {
   Cycles now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
+  obs::Counter* scheduled_counter_;
+  obs::Counter* processed_counter_;
 };
 
 }  // namespace tc3i::sim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "core/contracts.hpp"
 #include "obs/counters.hpp"
@@ -10,24 +11,19 @@ namespace tc3i::sim {
 
 namespace {
 
-struct WaterFillCounters {
-  obs::Counter& calls;
-  obs::Counter& saturated;
-};
-
-WaterFillCounters& water_fill_counters() {
-  static WaterFillCounters c{
-      obs::default_registry().counter("sim.fluid.water_fill.calls"),
-      obs::default_registry().counter("sim.fluid.water_fill.saturated")};
-  return c;
-}
+// Counters are looked up in the current registry on every call: sweep
+// points run under their own scoped registries, which are freed when the
+// sweep ends, so no reference into one may be kept across calls.
+const std::string kCallsCounter = "sim.fluid.water_fill.calls";
+const std::string kSaturatedCounter = "sim.fluid.water_fill.saturated";
 
 }  // namespace
 
 std::vector<double> water_fill(double total_capacity,
                                std::span<const double> private_caps) {
   TC3I_EXPECTS(total_capacity >= 0.0);
-  water_fill_counters().calls.add();
+  obs::CounterRegistry& registry = obs::default_registry();
+  registry.counter(kCallsCounter).add();
   std::vector<double> rates(private_caps.size(), 0.0);
   if (private_caps.empty()) return rates;
 
@@ -53,7 +49,7 @@ std::vector<double> water_fill(double total_capacity,
     if (!granted_any) {
       // Every remaining flow is capacity-limited: split evenly.
       for (std::size_t i : open) rates[i] = fair;
-      water_fill_counters().saturated.add();
+      registry.counter(kSaturatedCounter).add();
       break;
     }
   }

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <vector>
+
+#include "mta/stream_program.hpp"
+#include "obs/counters.hpp"
 #include "platforms/calibration.hpp"
+#include "platforms/experiment.hpp"
 #include "platforms/paper.hpp"
 #include "platforms/platform.hpp"
 
@@ -112,6 +118,40 @@ TEST(PaperNumbers, TablesAreInternallyConsistent) {
                    paper::kThreatTera2Proc);
   EXPECT_EQ(paper::threat_exemplar_rows().size(), 16u);
   EXPECT_EQ(paper::terrain_exemplar_rows().size(), 16u);
+}
+
+TEST(RunMtaPoints, PerRunWallTimeFitsInTheCallsElapsedTime) {
+  // mta.run.wall_seconds charges each run only its own host time: at
+  // --jobs 1 the runs execute back to back, so their sum cannot exceed the
+  // time the whole call took.
+  std::vector<MtaPoint> points;
+  for (int i = 0; i < 4; ++i) {
+    MtaPoint p;
+    p.batch.config.memory_words = 1u << 12;
+    p.batch.scenario = "wall_time";
+    p.batch.build = [i](mta::Machine& m, mta::ProgramPool& pool) {
+      mta::VectorProgram* v = pool.make_vector();
+      for (int r = 0; r < 200; ++r) {
+        v->compute(8 + i);
+        v->load(static_cast<mta::Address>(r));
+      }
+      m.add_stream(v);
+    };
+    points.push_back(std::move(p));
+  }
+  obs::CounterRegistry registry;
+  const obs::ScopedRegistry scope(registry);
+  const auto start = std::chrono::steady_clock::now();
+  const std::vector<double> seconds = run_mta_points(points, /*jobs=*/1);
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_EQ(seconds.size(), points.size());
+  for (const double s : seconds) EXPECT_GT(s, 0.0);
+  obs::Histogram& wall = registry.histogram("mta.run.wall_seconds");
+  EXPECT_EQ(wall.count(), points.size());
+  EXPECT_GT(wall.sum(), 0.0);
+  EXPECT_LE(wall.sum(), elapsed);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "obs/counters.hpp"
+
 namespace tc3i::sim {
 namespace {
 
@@ -80,6 +82,25 @@ TEST(EventQueue, CountsProcessedEvents) {
   q.run();
   EXPECT_EQ(q.events_processed(), 7u);
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, CountsIntoTheRegistryCurrentAtConstruction) {
+  // Sweep points run under their own scoped registries, which are freed
+  // when the sweep ends: each queue must count into the registry current
+  // when it was built, never into one an earlier queue saw.
+  for (int round = 0; round < 2; ++round) {
+    obs::CounterRegistry registry;
+    {
+      const obs::ScopedRegistry scope(registry);
+      EventQueue q;
+      for (int i = 0; i < 3; ++i) q.schedule_at(i, [] {});
+      q.run();
+    }
+    EXPECT_EQ(registry.counter("sim.eventq.scheduled").value(), 3u)
+        << "round " << round;
+    EXPECT_EQ(registry.counter("sim.eventq.processed").value(), 3u)
+        << "round " << round;
+  }
 }
 
 TEST(EventQueueDeathTest, SchedulingInThePastAborts) {

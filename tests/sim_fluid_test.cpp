@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "obs/counters.hpp"
 
 namespace tc3i::sim {
 namespace {
@@ -80,6 +81,25 @@ TEST_P(WaterFillPropertyTest, InvariantsHoldOnRandomInstances) {
           EXPECT_LE(rates[j], rates[i] + 1e-9);
       }
     }
+  }
+}
+
+TEST(WaterFill, CountsIntoTheRegistryCurrentAtEachCall) {
+  // Sweep points call water_fill under their own scoped registries, which
+  // are freed when the sweep ends: every call must count into the registry
+  // current at that call, never into one seen on an earlier call.
+  for (int round = 0; round < 2; ++round) {
+    obs::CounterRegistry registry;
+    {
+      const obs::ScopedRegistry scope(registry);
+      const std::vector<double> caps{1.0, 1.0, 1.0};
+      (void)water_fill(1.5, caps);  // capacity-limited: saturates
+      (void)water_fill(5.0, caps);  // every cap granted
+    }
+    EXPECT_EQ(registry.counter("sim.fluid.water_fill.calls").value(), 2u)
+        << "round " << round;
+    EXPECT_EQ(registry.counter("sim.fluid.water_fill.saturated").value(), 1u)
+        << "round " << round;
   }
 }
 
