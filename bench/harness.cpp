@@ -40,7 +40,7 @@ const platforms::Testbed& testbed() {
 }
 
 void set_phase(const std::string& phase) {
-  if (obs::LiveBus* bus = obs::live_bus(); bus != nullptr)
+  if (obs::LiveBus* bus = obs::current_context().live; bus != nullptr)
     bus->set_phase(phase);
   // Phase breadcrumbs also land in the always-on flight rings, so a
   // postmortem dump shows what the process was doing, bus or no bus.

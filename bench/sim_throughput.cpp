@@ -51,6 +51,7 @@
 #include "mta/runtime.hpp"
 #include "mta/stream_program.hpp"
 #include "obs/aggregate.hpp"
+#include "obs/context.hpp"
 #include "obs/critpath.hpp"
 #include "obs/flight.hpp"
 #include "obs/hostres.hpp"
@@ -207,27 +208,32 @@ std::uint64_t sweep_point(std::size_t index) {
 double measure_sweep_regime(int reps, int jobs, std::size_t points,
                             bool telemetry) {
   std::vector<double> times;
-  obs::SweepSchedStore* prev = obs::sweep_sched_store();
+  obs::Context base = obs::current_context();
+  base.sched = nullptr;
   // Untimed warm-up sweep: the first sweep of the process pays thread
   // startup and page-fault costs that would otherwise land entirely on
   // whichever regime runs first and swamp the <5% telemetry budget.
-  obs::set_sweep_sched_store(nullptr);
   {
     obs::RunRecordStore warmup_records;
-    obs::ScopedRunRecords warmup_scope(warmup_records);
+    obs::Context ctx = base;
+    ctx.records = &warmup_records;
+    const obs::ScopedContext scope(ctx);
     sim::run_sweep(points, jobs, [](std::size_t i) { return sweep_point(i); });
   }
-  obs::LiveBus* prev_bus = obs::live_bus();
   for (int rep = 0; rep < reps; ++rep) {
     obs::RunRecordStore records;
-    obs::ScopedRunRecords rec_scope(records);
     obs::SweepSchedStore sched;
-    obs::set_sweep_sched_store(telemetry ? &sched : nullptr);
     // The telemetry regime also feeds a live bus (the per-point wait-free
     // cell writes every monitored sweep pays) and folds one status
     // snapshot, so the 0.95x gate covers --status-out's worker-side cost.
     obs::LiveBus bus;
-    obs::set_live_bus(telemetry ? &bus : prev_bus);
+    obs::Context ctx = base;
+    ctx.records = &records;
+    if (telemetry) {
+      ctx.sched = &sched;
+      ctx.live = &bus;
+    }
+    const obs::ScopedContext scope(ctx);
     const auto start = std::chrono::steady_clock::now();
     sim::run_sweep(points, jobs, [](std::size_t i) {
       return sweep_point(i);
@@ -254,8 +260,6 @@ double measure_sweep_regime(int reps, int jobs, std::size_t points,
     const auto stop = std::chrono::steady_clock::now();
     times.push_back(std::chrono::duration<double>(stop - start).count());
   }
-  obs::set_sweep_sched_store(prev);
-  obs::set_live_bus(prev_bus);
   std::sort(times.begin(), times.end());
   return times[times.size() / 2];
 }
@@ -337,7 +341,9 @@ int main(int argc, char** argv) {
     Measurement m;
     {
       obs::TimelineStore store(4096);
-      obs::ScopedTimeline scope(store);
+      obs::Context ctx = obs::current_context();
+      ctx.timeline = &store;
+      const obs::ScopedContext scope(ctx);
       m = measure(sat, reps);
     }
     const double cps = static_cast<double>(m.cycles) / m.median_seconds;
@@ -362,7 +368,9 @@ int main(int argc, char** argv) {
     Measurement m;
     {
       obs::CritPathStore store(/*retain_graphs=*/false);
-      obs::ScopedCritPath scope(store);
+      obs::Context ctx = obs::current_context();
+      ctx.critpath = &store;
+      const obs::ScopedContext scope(ctx);
       m = measure(sat, reps);
     }
     const double cps = static_cast<double>(m.cycles) / m.median_seconds;

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
       // Label live-status snapshots (--status-out) with the work in
       // flight; the same label goes into the flight rings so crash dumps
       // name the problem/variant that was running.
-      if (obs::LiveBus* bus = obs::live_bus(); bus != nullptr)
+      if (obs::LiveBus* bus = obs::current_context().live; bus != nullptr)
         bus->set_phase(problem->name() + "/" + variant);
       obs::flight::phase(problem->name() + "/" + variant);
       TextTable table(problem->name() + " / " + variant);

@@ -8,6 +8,7 @@
 
 #include "core/contracts.hpp"
 #include "core/rng.hpp"
+#include "obs/context.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace tc3i::mta {
@@ -68,7 +69,8 @@ Machine::Machine(MtaConfig config)
   free_slots_ = config_.num_processors * config_.streams_per_processor;
   acct_.resize(static_cast<std::size_t>(config_.num_processors));
 
-  obs::CounterRegistry& reg = obs::default_registry();
+  const obs::Context& ctx = obs::current_context();
+  obs::CounterRegistry& reg = *ctx.registry;
   obs_.issue_total = &reg.counter("mta.issue.total");
   obs_.issue_compute = &reg.counter("mta.issue.compute");
   obs_.issue_memory = &reg.counter("mta.issue.memory");
@@ -93,16 +95,16 @@ Machine::Machine(MtaConfig config)
   obs_.run_wall_seconds = &reg.histogram("mta.run.wall_seconds");
   obs_.stream_instructions = &reg.histogram("mta.stream.instructions");
   obs_.registry = &reg;
-  obs_.sink = obs::global_sink();
+  obs_.sink = ctx.sink;
   if (obs_.sink != nullptr)
     obs_.pid = obs_.sink->register_track(config_.name);
-  obs_.records = obs::active_run_records();
-  obs_.timeline = obs::active_timeline();
+  obs_.records = ctx.records;
+  obs_.timeline = ctx.timeline;
   if (obs_.timeline != nullptr) {
     sample_period_ = obs_.timeline->sample_period_cycles();
     sample_next_ = sample_period_;
   }
-  cap_store_ = obs::active_critpath();
+  cap_store_ = ctx.critpath;
   if (cap_store_ != nullptr && config_.lookahead == 0) {
     cap_graph_ = std::make_unique<obs::DepGraph>();
     cap_graph_->model = "mta";

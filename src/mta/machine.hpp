@@ -189,8 +189,9 @@ class Machine {
     std::uint32_t cap_parent = 0;
   };
 
-  /// Always-on counters (obs::default_registry(), "mta." prefix) plus the
-  /// optional trace sink captured from obs::global_sink() at construction.
+  /// Always-on counters ("mta." prefix) plus the optional trace sink, run
+  /// record and timeline stores, all captured from obs::current_context()
+  /// at construction.
   /// Per-instruction paths only bump plain tally members; the registry
   /// counters are published once at the end of run() so instrumentation
   /// costs nothing in the issue loop.
@@ -223,8 +224,8 @@ class Machine {
     /// the same (possibly thread-scoped) registry the run was built under.
     obs::CounterRegistry* registry = nullptr;
     obs::TraceSink* sink = nullptr;
-    obs::RunRecordStore* records = nullptr;  ///< active_run_records() at ctor
-    obs::TimelineStore* timeline = nullptr;  ///< active_timeline() at ctor
+    obs::RunRecordStore* records = nullptr;
+    obs::TimelineStore* timeline = nullptr;
     std::uint32_t pid = 0;
   };
 
@@ -298,7 +299,7 @@ class Machine {
   /// account_idle over the census plus the solo stream virtually parked
   /// with `solo` (run_solo does not park between fast-forwarded issues).
   void account_solo_idle(int proc, std::uint64_t n, StallReason solo);
-  /// Timeline sampling (active_timeline() set at construction): called per
+  /// Timeline sampling (a timeline store set at construction): called per
   /// scanned cycle; emits every complete sample bucket ending at or before
   /// `now` from the deltas accumulated since the previous flush.
   void flush_samples(std::uint64_t now);
@@ -403,7 +404,7 @@ class Machine {
   // graph is owned here during the run and moved to cap_store_ at the end.
   std::unique_ptr<obs::DepGraph> cap_graph_;
   obs::DepGraph* cap_ = nullptr;  ///< cap_graph_.get() iff capturing
-  obs::CritPathStore* cap_store_ = nullptr;  ///< active_critpath() at ctor
+  obs::CritPathStore* cap_store_ = nullptr;  ///< context's store at ctor
   std::vector<CapStream> cap_streams_;       // indexed by StreamId
   /// Issue node of the memory/sync op currently completing; hand-off
   /// resumes drained inside the same issue() call chain from it.

@@ -238,35 +238,6 @@ void CounterRegistry::merge_from(const CounterRegistry& other) {
   }
 }
 
-namespace {
-thread_local CounterRegistry* t_registry_override = nullptr;
-}  // namespace
-
-CounterRegistry& process_registry() {
-  static CounterRegistry* registry = new CounterRegistry();  // never destroyed
-  return *registry;
-}
-
-CounterRegistry& default_registry() {
-  return t_registry_override != nullptr ? *t_registry_override
-                                        : process_registry();
-}
-
-ScopedRegistry::ScopedRegistry(CounterRegistry& reg)
-    : prev_(t_registry_override) {
-  t_registry_override = &reg;
-}
-
-ScopedRegistry::~ScopedRegistry() { t_registry_override = prev_; }
-
-std::function<void()> inherit_registry(std::function<void()> fn) {
-  CounterRegistry* reg = &default_registry();
-  return [reg, fn = std::move(fn)]() {
-    ScopedRegistry scope(*reg);
-    fn();
-  };
-}
-
 // --- Scope -------------------------------------------------------------------
 
 namespace {

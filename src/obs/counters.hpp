@@ -9,13 +9,13 @@
 // paths resolve a name once (typically at machine construction) and then
 // increment through a raw pointer — cheap enough to leave on in every run.
 //
-// The process-global default_registry() is what the machine models and the
-// sthreads library write into; bench RunReports snapshot it at exit.
+// default_registry() — the calling thread's obs::Context registry — is what
+// the machine models and the sthreads library write into; bench RunReports
+// snapshot it at exit.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -144,32 +144,10 @@ class CounterRegistry {
 };
 
 /// The registry built-in instrumentation writes to: the calling thread's
-/// override when a ScopedRegistry is active, otherwise the process-wide
-/// registry. Hot paths resolve metric pointers once per machine
-/// construction, so the indirection is off the per-instruction path.
+/// obs::Context registry (context.hpp). Hot paths resolve metric pointers
+/// once per machine construction, so the lookup is off the
+/// per-instruction path.
 [[nodiscard]] CounterRegistry& default_registry();
-
-/// The process-wide registry, ignoring any thread-local override.
-[[nodiscard]] CounterRegistry& process_registry();
-
-/// Redirects default_registry() on the current thread to `reg` for this
-/// object's lifetime. Used by the sweep runner to give each sweep point an
-/// isolated registry that is merged into the caller's registry afterward.
-/// Nests (restores the previous override on destruction).
-class ScopedRegistry {
- public:
-  explicit ScopedRegistry(CounterRegistry& reg);
-  ScopedRegistry(const ScopedRegistry&) = delete;
-  ScopedRegistry& operator=(const ScopedRegistry&) = delete;
-  ~ScopedRegistry();
-
- private:
-  CounterRegistry* prev_;
-};
-
-/// Wraps a thread body so the new thread inherits the creating thread's
-/// active registry (thread-local overrides do not propagate on their own).
-[[nodiscard]] std::function<void()> inherit_registry(std::function<void()> fn);
 
 /// RAII wall-clock phase timer: records elapsed seconds into a histogram
 /// on destruction. Used around run()/build phases.

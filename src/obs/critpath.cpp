@@ -115,24 +115,4 @@ std::size_t CritPathStore::size() const {
   return graphs_.size();
 }
 
-namespace {
-CritPathStore* g_process_store = nullptr;
-thread_local CritPathStore* t_store_override = nullptr;
-}  // namespace
-
-CritPathStore* active_critpath() {
-  return t_store_override != nullptr ? t_store_override : g_process_store;
-}
-
-CritPathStore* process_critpath() { return g_process_store; }
-
-void set_process_critpath(CritPathStore* store) { g_process_store = store; }
-
-ScopedCritPath::ScopedCritPath(CritPathStore& store)
-    : prev_(t_store_override) {
-  t_store_override = &store;
-}
-
-ScopedCritPath::~ScopedCritPath() { t_store_override = prev_; }
-
 }  // namespace tc3i::obs

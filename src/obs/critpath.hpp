@@ -178,9 +178,9 @@ struct CritPathSummary {
 [[nodiscard]] CritPathSummary summarize(const DepGraph& graph);
 
 /// Opt-in signal and (for tests) retention of captured graphs. A machine
-/// model captures a dependency graph iff active_critpath() is non-null at
-/// construction; at run end it embeds the summary in its RunRecord and
-/// hands the graph to add(), which keeps it only when retain_graphs (the
+/// model captures a dependency graph iff the obs::Context names a
+/// CritPathStore at construction; at run end it embeds the summary in its
+/// RunRecord and hands the graph to add(), which keeps it only when retain_graphs (the
 /// --critpath session store does not retain — summaries are enough for
 /// reports; tests retain to project and re-simulate).
 class CritPathStore {
@@ -201,28 +201,6 @@ class CritPathStore {
   bool retain_;
   mutable std::mutex mu_;
   std::vector<DepGraph> graphs_;
-};
-
-/// The store machine models check: the calling thread's override when a
-/// ScopedCritPath is active, otherwise the process-wide store installed by
-/// RunSession --critpath (null -> capture off, zero overhead).
-[[nodiscard]] CritPathStore* active_critpath();
-
-/// The process-wide store, ignoring any thread-local override.
-[[nodiscard]] CritPathStore* process_critpath();
-void set_process_critpath(CritPathStore* store);
-
-/// Redirects active_critpath() on the current thread for this object's
-/// lifetime (nests; restores the previous override on destruction).
-class ScopedCritPath {
- public:
-  explicit ScopedCritPath(CritPathStore& store);
-  ScopedCritPath(const ScopedCritPath&) = delete;
-  ScopedCritPath& operator=(const ScopedCritPath&) = delete;
-  ~ScopedCritPath();
-
- private:
-  CritPathStore* prev_;
 };
 
 }  // namespace tc3i::obs

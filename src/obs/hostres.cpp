@@ -32,8 +32,6 @@ double tv_seconds(const timeval& tv) {
          static_cast<double>(tv.tv_usec) * 1e-6;
 }
 
-SweepSchedStore* g_sched_store = nullptr;
-
 }  // namespace
 
 HostResUsage sample_host_usage() {
@@ -166,9 +164,5 @@ bool SweepSchedStore::write_chrome_trace_file(const std::string& path,
   write_chrome_trace(out);
   return static_cast<bool>(out);
 }
-
-SweepSchedStore* sweep_sched_store() { return g_sched_store; }
-
-void set_sweep_sched_store(SweepSchedStore* store) { g_sched_store = store; }
 
 }  // namespace tc3i::obs

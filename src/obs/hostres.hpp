@@ -10,8 +10,8 @@
 // trace of the scheduler itself — one lane per worker, a queue-wait span
 // and an execute span per point — via obs::TraceSink.
 //
-// Both are opt-in at the session level: run_sweep feeds spans only when a
-// store is installed (RunSession does so for --sweep-trace-out /
+// Both are opt-in at the session level: run_sweep feeds spans only when the
+// obs::Context names a store (RunSession sets one for --sweep-trace-out /
 // --sweep-report-out), so the default sweep path stays free of clock calls.
 #pragma once
 
@@ -111,11 +111,5 @@ class SweepSchedStore {
   std::vector<SweepInfo> sweeps_;
   std::vector<SweepJobSpan> spans_;
 };
-
-/// The process-global store sim::run_sweep feeds, or null (the default —
-/// no telemetry, no clock calls). RunSession installs one when a sweep
-/// output flag is given.
-[[nodiscard]] SweepSchedStore* sweep_sched_store();
-void set_sweep_sched_store(SweepSchedStore* store);
 
 }  // namespace tc3i::obs

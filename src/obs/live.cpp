@@ -21,13 +21,7 @@ std::uint64_t steady_ns_now() {
           .count());
 }
 
-LiveBus* g_live_bus = nullptr;
-
 }  // namespace
-
-LiveBus* live_bus() { return g_live_bus; }
-
-void set_live_bus(LiveBus* bus) { g_live_bus = bus; }
 
 LiveBus::LiveBus(WatchdogConfig watchdog)
     : anchor_ns_(steady_ns_now()), watchdog_(watchdog) {
@@ -55,16 +49,11 @@ void LiveBus::begin_point(std::uint32_t w, std::uint64_t point) {
 }
 
 void LiveBus::end_point(std::uint32_t w) {
-  Cell& c = cells_[w % kMaxWorkers];
+  const Cell& c = cells_[w % kMaxWorkers];
   const std::uint64_t now = now_ns();
   const std::uint64_t start = c.point_start_ns.load(std::memory_order_relaxed);
-  const std::uint64_t idx =
-      sample_head_.fetch_add(1, std::memory_order_relaxed) % kSampleCap;
-  samples_ns_[idx].store(now > start ? now - start : 0,
-                         std::memory_order_relaxed);
-  c.current_point.store(kNoPoint, std::memory_order_relaxed);
-  c.points_done.fetch_add(1, std::memory_order_relaxed);
-  c.heartbeat_ns.store(now, std::memory_order_relaxed);
+  complete_point(w, c.current_point.load(std::memory_order_relaxed),
+                 now > start ? now - start : 0);
 }
 
 void LiveBus::complete_point(std::uint32_t w, std::uint64_t point,
@@ -79,12 +68,6 @@ void LiveBus::complete_point(std::uint32_t w, std::uint64_t point,
                                           std::memory_order_relaxed);
   c.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
   c.touched.store(1, std::memory_order_relaxed);
-}
-
-void LiveBus::idle(std::uint32_t w) {
-  Cell& c = cells_[w % kMaxWorkers];
-  c.current_point.store(kNoPoint, std::memory_order_relaxed);
-  c.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
 }
 
 void LiveBus::record_cache(bool hit) {

@@ -25,8 +25,8 @@
 //
 // Determinism contract: the bus is sampled, never merged into any
 // deterministic output. Simulation results, counters, RunRecords and
-// timelines are untouched; workers only feed the bus when one is
-// installed (live_bus() != nullptr), and the feed is a handful of relaxed
+// timelines are untouched; workers only feed the bus when the
+// obs::Context names one, and the feed is a handful of relaxed
 // stores per *point*, not per simulated event — so reports stay
 // byte-identical at any --jobs and the sweep_telemetry bench
 // regime stays within its <=5% overhead budget with the bus enabled.
@@ -109,7 +109,7 @@ struct LiveStatus {
 };
 
 /// The bus. Worker-side calls (add_points / begin_point / end_point /
-/// complete_point / idle / record_cache) are wait-free: each is a
+/// complete_point / record_cache) are wait-free: each is a
 /// few relaxed atomic operations on the caller's own cell, safe from any
 /// number of threads concurrently with the publisher's snapshot() fold.
 /// Publisher-side calls (snapshot, set_phase, anomalies) serialize on an
@@ -137,20 +137,16 @@ class LiveBus {
   /// Worker `w` starts executing sweep point `point`.
   void begin_point(std::uint32_t w, std::uint64_t point);
 
-  /// Worker `w` finished its current point (the duration is measured from
-  /// the matching begin_point).
+  /// Worker `w` finished its current point: complete_point with the
+  /// duration measured from the matching begin_point.
   void end_point(std::uint32_t w);
 
-  /// Worker `w` finished sweep point `point` after `duration_ns` (for
-  /// callers that time points themselves). Clears the running-point marker
-  /// when it still names `point` (a newer begin_point may have overwritten
-  /// it).
+  /// Worker `w` finished sweep point `point` after `duration_ns`: tallies
+  /// the point and its duration sample, and clears the running-point
+  /// marker when it still names `point` (a newer begin_point may have
+  /// overwritten it), so the watchdog stops ageing this worker.
   void complete_point(std::uint32_t w, std::uint64_t point,
                       std::uint64_t duration_ns);
-
-  /// Worker `w` drained its queue: clears the running-point marker so the
-  /// watchdog stops ageing this worker.
-  void idle(std::uint32_t w);
 
   /// Testbed profile cache outcome (platforms::load_or_build_testbed).
   void record_cache(bool hit);
@@ -246,12 +242,6 @@ class LiveBus {
 /// "anomalies" sections so all three serialize identically.
 void write_anomalies_json(JsonWriter& w,
                           const std::vector<LiveAnomaly>& anomalies);
-
-/// The process-global bus workers feed, or null (the default — the
-/// worker-side hooks compile to a pointer test). RunSession installs one
-/// for --status-out and --progress.
-[[nodiscard]] LiveBus* live_bus();
-void set_live_bus(LiveBus* bus);
 
 /// Background publisher: snapshots `bus` every `period_ms` and publishes
 /// to `path` via LiveBus::write_status_file. finish() (or destruction)

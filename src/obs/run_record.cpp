@@ -6,12 +6,8 @@
 
 namespace tc3i::obs {
 
-namespace {
-thread_local std::string t_scenario_label;
-}  // namespace
-
 void RunRecordStore::add(RunRecord record) {
-  if (record.scenario.empty()) record.scenario = t_scenario_label;
+  if (record.scenario.empty()) record.scenario = current_context().scenario;
   std::lock_guard<std::mutex> lock(mu_);
   records_.push_back(std::move(record));
 }
@@ -31,39 +27,6 @@ std::vector<RunRecord> RunRecordStore::records() const {
 std::size_t RunRecordStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return records_.size();
-}
-
-namespace {
-RunRecordStore* g_process_store = nullptr;
-thread_local RunRecordStore* t_store_override = nullptr;
-}  // namespace
-
-RunRecordStore* active_run_records() {
-  return t_store_override != nullptr ? t_store_override : g_process_store;
-}
-
-RunRecordStore* process_run_records() { return g_process_store; }
-
-void set_process_run_records(RunRecordStore* store) {
-  g_process_store = store;
-}
-
-ScopedRunRecords::ScopedRunRecords(RunRecordStore& store)
-    : prev_(t_store_override) {
-  t_store_override = &store;
-}
-
-ScopedRunRecords::~ScopedRunRecords() { t_store_override = prev_; }
-
-const std::string& current_scenario_label() { return t_scenario_label; }
-
-ScopedScenarioLabel::ScopedScenarioLabel(std::string label)
-    : prev_(std::move(t_scenario_label)) {
-  t_scenario_label = std::move(label);
-}
-
-ScopedScenarioLabel::~ScopedScenarioLabel() {
-  t_scenario_label = std::move(prev_);
 }
 
 }  // namespace tc3i::obs

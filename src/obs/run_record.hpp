@@ -8,8 +8,8 @@
 // the SMP fluid model, and the per-region instruction rollup — and a
 // RunRecordStore collects them in submission order so RunReport's
 // "machine_runs" section is deterministic at any --jobs (sim::run_sweep
-// gives each point its own store and merges them in submission order, the
-// same contract ScopedRegistry provides for counters).
+// gives each point its own store through obs::ContextFork and merges them
+// in submission order, as it does the counter registries).
 #pragma once
 
 #include <cstdint>
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/context.hpp"
 #include "obs/critpath.hpp"
 
 namespace tc3i::obs {
@@ -71,8 +72,9 @@ struct RunRecord {
   std::string model;  ///< "mta", "smp", or "sthreads"
   std::string name;   ///< machine config name
   /// Workload scenario the run belonged to, taken from the calling
-  /// thread's ScopedScenarioLabel when the record is added (empty when no
-  /// label is active). Sweep aggregation (obs/aggregate.hpp) groups by it.
+  /// thread's obs::Context (ScopedScenarioLabel) when the record is added
+  /// (empty when no label is active). Sweep aggregation
+  /// (obs/aggregate.hpp) groups by it.
   std::string scenario;
   int processors = 1;
   std::uint64_t threads = 0;  ///< peak live streams (mta) / workers (smp)
@@ -120,49 +122,6 @@ class RunRecordStore {
  private:
   mutable std::mutex mu_;
   std::vector<RunRecord> records_;
-};
-
-/// The store machine models append to: the calling thread's override when a
-/// ScopedRunRecords is active, otherwise the process-wide store installed
-/// by RunSession (null when no session wants records — machines skip the
-/// work entirely then).
-[[nodiscard]] RunRecordStore* active_run_records();
-
-/// The process-wide store, ignoring any thread-local override.
-[[nodiscard]] RunRecordStore* process_run_records();
-void set_process_run_records(RunRecordStore* store);
-
-/// Redirects active_run_records() on the current thread for this object's
-/// lifetime (nests; restores the previous override on destruction). Used by
-/// sim::run_sweep to keep per-point records separable and by tests.
-class ScopedRunRecords {
- public:
-  explicit ScopedRunRecords(RunRecordStore& store);
-  ScopedRunRecords(const ScopedRunRecords&) = delete;
-  ScopedRunRecords& operator=(const ScopedRunRecords&) = delete;
-  ~ScopedRunRecords();
-
- private:
-  RunRecordStore* prev_;
-};
-
-/// The calling thread's active scenario label ("" when none): RunRecordStore
-/// fills RunRecord::scenario from it, so machine models need no knowledge of
-/// workload naming. Set it around the code that runs one scenario (the
-/// platforms experiment layer does this for the C3I workloads).
-[[nodiscard]] const std::string& current_scenario_label();
-
-/// Installs `label` as the current thread's scenario label for this
-/// object's lifetime (nests; restores the previous label on destruction).
-class ScopedScenarioLabel {
- public:
-  explicit ScopedScenarioLabel(std::string label);
-  ScopedScenarioLabel(const ScopedScenarioLabel&) = delete;
-  ScopedScenarioLabel& operator=(const ScopedScenarioLabel&) = delete;
-  ~ScopedScenarioLabel();
-
- private:
-  std::string prev_;
 };
 
 }  // namespace tc3i::obs

@@ -27,15 +27,7 @@ std::string sibling_csv_path(const std::string& json_path) {
   return json_path + ".csv";
 }
 
-bool g_sweep_progress = false;
-
 }  // namespace
-
-bool sweep_progress_requested() { return g_sweep_progress; }
-
-void set_sweep_progress_requested(bool requested) {
-  g_sweep_progress = requested;
-}
 
 void RunSession::add_cli_flags(CliParser& cli) {
   cli.add_flag("trace-out", "",
@@ -142,25 +134,26 @@ RunSession::RunSession(std::string name, const CliParser& cli)
   } else {
     jobs_ = static_cast<int>(jobs_flag);
   }
+  Context ctx = current_context();
   if (!trace_path_.empty()) {
     sink_ = std::make_unique<TraceSink>();
-    set_global_sink(sink_.get());
+    ctx.sink = sink_.get();
   }
   records_ = std::make_unique<RunRecordStore>();
-  set_process_run_records(records_.get());
+  ctx.records = records_.get();
   if (cli.get_bool("critpath")) {
     critpath_ = std::make_unique<CritPathStore>(/*retain_graphs=*/false);
-    set_process_critpath(critpath_.get());
+    ctx.critpath = critpath_.get();
   }
-  set_sweep_progress_requested(cli.get_bool("progress"));
+  ctx.progress = cli.get_bool("progress");
   if (!sweep_report_path_.empty() || !sweep_trace_path_.empty()) {
     sched_ = std::make_unique<SweepSchedStore>();
-    set_sweep_sched_store(sched_.get());
+    ctx.sched = sched_.get();
   }
   if (!timeline_path_.empty()) {
     timeline_ = std::make_unique<TimelineStore>(
         static_cast<std::uint64_t>(sample_period));
-    set_process_timeline(timeline_.get());
+    ctx.timeline = timeline_.get();
   }
   // The live bus backs both --status-out (publisher thread) and the
   // --progress ticker (throughput/ETA fold); install it when either asks.
@@ -184,7 +177,7 @@ RunSession::RunSession(std::string name, const CliParser& cli)
     watchdog.heartbeat_timeout_seconds = watchdog_timeout;
     live_ = std::make_unique<LiveBus>(watchdog);
     live_->set_bench(name_);
-    set_live_bus(live_.get());
+    ctx.live = live_.get();
     if (!status_path_.empty())
       publisher_ = std::make_unique<LivePublisher>(
           *live_, status_path_, static_cast<int>(status_period));
@@ -200,25 +193,14 @@ RunSession::RunSession(std::string name, const CliParser& cli)
     flight::set_dump_path(flight_path_);
     flight::install_signal_handlers(flight_path_);
   }
+  scope_.emplace(std::move(ctx));
   g_active = this;
 }
 
 RunSession::~RunSession() {
   finish();
   if (g_active == this) g_active = nullptr;
-  if (sink_ != nullptr && global_sink() == sink_.get())
-    set_global_sink(nullptr);
-  if (process_run_records() == records_.get()) set_process_run_records(nullptr);
-  if (timeline_ != nullptr && process_timeline() == timeline_.get())
-    set_process_timeline(nullptr);
-  if (critpath_ != nullptr && process_critpath() == critpath_.get())
-    set_process_critpath(nullptr);
-  if (sched_ != nullptr && sweep_sched_store() == sched_.get())
-    set_sweep_sched_store(nullptr);
-  // Publisher first (it still reads the bus), then the workers' pointer.
-  publisher_.reset();
-  if (live_ != nullptr && live_bus() == live_.get()) set_live_bus(nullptr);
-  set_sweep_progress_requested(false);
+  scope_.reset();
   if (!flight_path_.empty()) {
     flight::uninstall_signal_handlers();
     flight::set_dump_path("");

@@ -40,18 +40,25 @@
 //                         simulation, and output is byte-identical at any
 //                         value.
 //
-// Construction installs the global trace sink (when --trace-out is given)
-// and the process-wide RunRecordStore / TimelineStore the machine models
-// feed; destruction (or finish()) writes all requested outputs. Exactly one
-// session may be active at a time; RunSession::active() lets shared helper
+// Construction builds one obs::Context (context.hpp) naming the stores its
+// flags ask for — trace sink, run records (always), timeline, critical-path
+// store, sweep-scheduler store, live bus, --progress — and installs it on
+// the constructing thread for the session's lifetime. Threads started
+// through sthreads::Thread inherit it, and sim::run_sweep forks it per
+// point at --jobs > 1 and merges the forks back in submission order, so
+// every output is byte-identical at any --jobs. Destruction (or finish())
+// writes all requested outputs. Exactly one session may be active at a
+// time; RunSession::active() lets shared helper
 // code (e.g. the bench harness row formatter) feed the report without
 // threading a pointer through every call site.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/cli.hpp"
+#include "obs/context.hpp"
 #include "obs/critpath.hpp"
 #include "obs/hostres.hpp"
 #include "obs/live.hpp"
@@ -61,12 +68,6 @@
 #include "obs/trace_sink.hpp"
 
 namespace tc3i::obs {
-
-/// --progress flag state, read by sim::run_sweep's stderr ticker (lives
-/// here so the sweep runner can see the session flag without an obs -> sim
-/// dependency). Off by default; RunSession sets it for its lifetime.
-[[nodiscard]] bool sweep_progress_requested();
-void set_sweep_progress_requested(bool requested);
 
 class RunSession {
  public:
@@ -86,21 +87,19 @@ class RunSession {
   [[nodiscard]] RunReport& report() { return report_; }
   /// Non-null iff --trace-out was given.
   [[nodiscard]] TraceSink* sink() { return sink_.get(); }
-  /// Per-run accounting records collected so far (always available; also
-  /// installed as the process RunRecordStore for the session's lifetime).
+  /// Per-run accounting records collected so far (always available).
   [[nodiscard]] RunRecordStore& run_records() { return *records_; }
   /// Non-null iff --timeline-out was given.
   [[nodiscard]] TimelineStore* timeline() { return timeline_.get(); }
-  /// Non-null iff --critpath was given (installed as the process store so
-  /// machine models capture dependency graphs; summaries land in the
-  /// RunRecords, the graphs themselves are not retained).
+  /// Non-null iff --critpath was given (machine models then capture
+  /// dependency graphs; summaries land in the RunRecords, the graphs
+  /// themselves are not retained).
   [[nodiscard]] CritPathStore* critpath() { return critpath_.get(); }
   /// Non-null iff --sweep-report-out or --sweep-trace-out was given
-  /// (installed as the global store sim::run_sweep feeds spans to).
+  /// (sim::run_sweep feeds it one span per point).
   [[nodiscard]] SweepSchedStore* sweep_sched() { return sched_.get(); }
-  /// Non-null iff --status-out or --progress was given (installed as the
-  /// global bus sweep workers feed; the --progress ticker and the
-  /// --status-out publisher both read it).
+  /// Non-null iff --status-out or --progress was given (sweep workers feed
+  /// it; the --progress ticker and the --status-out publisher read it).
   [[nodiscard]] LiveBus* live() { return live_.get(); }
 
   /// Resolved host worker-thread count for sim::run_sweep: the --jobs flag
@@ -133,6 +132,7 @@ class RunSession {
   std::unique_ptr<LivePublisher> publisher_;
   HostResUsage host_begin_;
   RunReport report_;
+  std::optional<ScopedContext> scope_;  ///< installs the stores above
 };
 
 }  // namespace tc3i::obs

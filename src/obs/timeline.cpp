@@ -133,25 +133,4 @@ std::string validate_timeline_csv(const std::string& text) {
   return "";
 }
 
-namespace {
-TimelineStore* g_process_timeline = nullptr;
-thread_local TimelineStore* t_timeline_override = nullptr;
-}  // namespace
-
-TimelineStore* active_timeline() {
-  return t_timeline_override != nullptr ? t_timeline_override
-                                        : g_process_timeline;
-}
-
-TimelineStore* process_timeline() { return g_process_timeline; }
-
-void set_process_timeline(TimelineStore* store) { g_process_timeline = store; }
-
-ScopedTimeline::ScopedTimeline(TimelineStore& store)
-    : prev_(t_timeline_override) {
-  t_timeline_override = &store;
-}
-
-ScopedTimeline::~ScopedTimeline() { t_timeline_override = prev_; }
-
 }  // namespace tc3i::obs

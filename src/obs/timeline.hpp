@@ -6,8 +6,8 @@
 // simulated cycles (the SMP fluid model converts its piecewise-constant
 // activity record through clock_hz), so a timeline is a pure function of
 // the simulated run. sim::run_sweep gives each sweep point its own
-// TimelineStore and merges them in submission order, which makes the
-// exported CSV byte-identical at --jobs 1 and --jobs N.
+// TimelineStore (obs::ContextFork) and merges them in submission order,
+// which makes the exported CSV byte-identical at --jobs 1 and --jobs N.
 //
 // CSV format (one header line, then one row per sample):
 //   run,model,name,series,cycle,value
@@ -82,28 +82,5 @@ class TimelineStore {
 /// its 1-based line number. Shared by tools/json_check (*.csv arguments)
 /// and the timeline tests.
 [[nodiscard]] std::string validate_timeline_csv(const std::string& text);
-
-/// The store machine models sample into: the calling thread's override when
-/// a ScopedTimeline is active, otherwise the process-wide store installed
-/// by RunSession (null when no --timeline-out was given — machines skip
-/// sampling entirely then).
-[[nodiscard]] TimelineStore* active_timeline();
-
-/// The process-wide store, ignoring any thread-local override.
-[[nodiscard]] TimelineStore* process_timeline();
-void set_process_timeline(TimelineStore* store);
-
-/// Redirects active_timeline() on the current thread for this object's
-/// lifetime (nests; restores the previous override on destruction).
-class ScopedTimeline {
- public:
-  explicit ScopedTimeline(TimelineStore& store);
-  ScopedTimeline(const ScopedTimeline&) = delete;
-  ScopedTimeline& operator=(const ScopedTimeline&) = delete;
-  ~ScopedTimeline();
-
- private:
-  TimelineStore* prev_;
-};
 
 }  // namespace tc3i::obs

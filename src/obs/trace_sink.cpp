@@ -136,11 +136,4 @@ bool TraceSink::write_files(const std::string& json_path,
   return true;
 }
 
-namespace {
-TraceSink* g_sink = nullptr;
-}  // namespace
-
-TraceSink* global_sink() { return g_sink; }
-void set_global_sink(TraceSink* sink) { g_sink = sink; }
-
 }  // namespace tc3i::obs

@@ -10,8 +10,10 @@
 // clock domain); every machine registers a named track so multi-machine
 // runs (e.g. a bench that simulates both platforms) stay separable.
 //
-// Tracing is opt-in: the machine models check obs::global_sink() once at
-// construction and emit nothing when it is null.
+// Tracing is opt-in: the machine models read the obs::Context sink once at
+// construction and emit nothing when it is null. Forked sweep-point
+// contexts share the sink, which is why RunSession pins --trace-out runs
+// to --jobs 1.
 #pragma once
 
 #include <cstdint>
@@ -81,10 +83,5 @@ class TraceSink {
   std::vector<TraceEvent> events_;
   std::vector<std::string> tracks_;
 };
-
-/// The process-global sink consulted by machine constructors. Null (the
-/// default) disables event emission entirely.
-[[nodiscard]] TraceSink* global_sink();
-void set_global_sink(TraceSink* sink);
 
 }  // namespace tc3i::obs

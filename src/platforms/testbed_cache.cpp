@@ -1,5 +1,6 @@
 #include "platforms/testbed_cache.hpp"
 
+#include "obs/context.hpp"
 #include "obs/counters.hpp"
 #include "obs/flight.hpp"
 #include "obs/live.hpp"
@@ -269,9 +270,9 @@ Testbed load_or_build_testbed() {
   // instead of as an unexplained wall-time regression. A disabled cache
   // counts as a miss (the profiles are recomputed either way).
   // The live bus keeps its own hit/miss tally: mid-sweep the default
-  // registry is shadowed by per-point scoped registries, so it cannot be
-  // read live.
-  obs::LiveBus* bus = obs::live_bus();
+  // registry is a sweep point's forked registry, so it cannot be read
+  // live.
+  obs::LiveBus* bus = obs::current_context().live;
   obs::CounterRegistry& reg = obs::default_registry();
   if (path.empty()) {
     reg.counter("testbed.cache.miss").add();

@@ -8,8 +8,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "obs/session.hpp"
-
 namespace tc3i::sim {
 
 int resolve_jobs(int requested) {
@@ -57,56 +55,35 @@ const char* SweepProgress::format_eta(double eta_seconds, char* buf,
   return buf;
 }
 
-SweepProgress::SweepProgress(std::size_t count)
-    : count_(count),
-      enabled_(count > 0 && obs::sweep_progress_requested() &&
-               ::isatty(STDERR_FILENO) != 0),
-      start_(std::chrono::steady_clock::now()) {}
+SweepProgress::SweepProgress(std::size_t count, const obs::Context& ctx)
+    : bus_(count > 0 && ctx.progress && ::isatty(STDERR_FILENO) != 0
+               ? ctx.live
+               : nullptr) {}
 
-void SweepProgress::tick() {
-  if (!enabled_) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++done_;
-  // Prefer the live bus: its throughput is cumulative across the whole
-  // session and its ETA comes from the median completed-point duration
-  // spread over the workers actually running — far steadier than the
-  // per-sweep linear extrapolation fallback below.
+void SweepProgress::tick() const {
+  if (bus_ == nullptr) return;
+  const obs::LiveBus::Progress p = bus_->progress();
+  // Zero completed points means no throughput and no ETA yet; render
+  // "eta ?" rather than a meaningless 0.0s (or worse, NaN).
   char eta_buf[32];
-  if (obs::LiveBus* bus = obs::live_bus(); bus != nullptr) {
-    const obs::LiveBus::Progress p = bus->progress();
-    // Zero completed points means no throughput and no ETA yet; render
-    // "eta ?" rather than a meaningless 0.0s (or worse, NaN).
-    std::fprintf(stderr, "\r[sweep] %zu/%zu  %.1f pts/s eta %s   ", done_,
-                 count_, p.points_per_sec,
-                 format_eta(p.eta_seconds, eta_buf, sizeof(eta_buf)));
-    std::fflush(stderr);
-    return;
-  }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
-  const double eta =
-      done_ == 0 ? 0.0
-                 : elapsed / static_cast<double>(done_) *
-                       static_cast<double>(count_ - done_);
-  std::fprintf(stderr, "\r[sweep] %zu/%zu eta %s   ", done_, count_,
-               done_ == count_
-                   ? "0.0s"
-                   : format_eta(eta, eta_buf, sizeof(eta_buf)));
+  std::fprintf(stderr, "\r[sweep] %llu/%llu  %.1f pts/s eta %s   ",
+               static_cast<unsigned long long>(p.done),
+               static_cast<unsigned long long>(p.total), p.points_per_sec,
+               format_eta(p.eta_seconds, eta_buf, sizeof(eta_buf)));
   std::fflush(stderr);
 }
 
 SweepProgress::~SweepProgress() {
-  if (!enabled_ || done_ == 0) return;
+  if (bus_ == nullptr) return;
   // Replace the carriage-returned ticker with a final, newline-terminated
   // summary. A bare "\r"-blanked line left the cursor mid-line, so when a
   // sweep finished instantly (e.g. every point served from the testbed
   // cache) the last update was clobbered by whatever stdout printed next.
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
-  std::fprintf(stderr, "\r%*s\r[sweep] %zu/%zu done in %.1fs\n", 60, "",
-               done_, count_, elapsed);
+  const obs::LiveBus::Progress p = bus_->progress();
+  std::fprintf(stderr, "\r%*s\r[sweep] %llu/%llu done in %.1fs\n", 60, "",
+               static_cast<unsigned long long>(p.done),
+               static_cast<unsigned long long>(p.total),
+               bus_->now_seconds());
   std::fflush(stderr);
 }
 

@@ -3,48 +3,45 @@
 // A sweep is an indexed family of independent experiment points (table
 // rows, ablation grid cells, scaling curves). run_sweep() evaluates them on
 // a pool of sthreads and returns the results in submission order, so a
-// bench's output is independent of scheduling. Counter isolation: with
-// jobs > 1 every point runs under its own obs::CounterRegistry
-// (obs::ScopedRegistry, inherited by any sthreads the point spawns) and the
-// per-point registries are merged into the caller's registry in submission
-// order after all points finish — counters sum, gauges keep the
-// last-submitted point's value, exactly as a serial run would leave them.
-// Run records and sampled timelines get the same treatment: when the caller
-// has an active RunRecordStore / TimelineStore, each point runs under its
-// own store (obs::ScopedRunRecords / obs::ScopedTimeline) and the stores
-// are merged back in submission order, so RunReport's machine_runs section
-// and the --timeline-out CSV are byte-identical at any --jobs.
+// bench's output is independent of scheduling.
 //
-// jobs == 1 runs the points inline on the caller's thread and registry, with
-// no pool and no isolation: byte-for-byte identical to the pre-sweep serial
-// code path.
+// Fork and merge rule: with jobs > 1 every point runs under its own
+// obs::ContextFork of the caller's obs::Context — a fresh counter registry
+// and, where the caller collects them, fresh run-record and timeline
+// stores; the critical-path store, scenario label, trace sink, scheduler
+// store, live bus and --progress flag are shared. Any sthreads the point
+// spawns inherit its forked context. After every point has finished, the
+// forks are merged into the caller's context in submission order: counters
+// sum, gauges keep the last-submitted point's value, histograms merge,
+// records and timelines append — exactly as a serial run would leave them,
+// so RunReport's machine_runs section and the --timeline-out CSV are
+// byte-identical at any --jobs.
 //
-// Scheduler telemetry: when a session installed an obs::SweepSchedStore
+// jobs == 1 runs the points inline on the caller's thread and context,
+// with no pool and no fork: byte-for-byte the serial code path.
+//
+// Scheduler telemetry: when the context names an obs::SweepSchedStore
 // (--sweep-trace-out / --sweep-report-out), every point additionally
 // records a host-time span (submit/start/end + worker lane) so the sweep
 // scheduler itself can be traced and its queue-wait vs execute time
-// attributed. With no store installed the sweep makes no clock calls.
+// attributed. With no store the sweep makes no clock calls.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/contracts.hpp"
-#include "obs/counters.hpp"
+#include "obs/context.hpp"
 #include "obs/flight.hpp"
 #include "obs/hostres.hpp"
 #include "obs/live.hpp"
-#include "obs/run_record.hpp"
-#include "obs/timeline.hpp"
 #include "sthreads/thread.hpp"
 
 namespace tc3i::sim {
@@ -56,19 +53,21 @@ namespace tc3i::sim {
 namespace detail {
 
 /// Stderr progress ticker behind the session --progress flag: one
-/// carriage-returned "[sweep] k/N eta Xs" line per completed point, with
-/// the ETA extrapolated from completed-point wall times. Enabled only when
-/// the flag is set *and* stderr is a TTY; never touches stdout, so the
-/// byte-identical-output guarantees of run_sweep are unaffected.
+/// carriage-returned "[sweep] k/N  r pts/s eta Xs" line per completed
+/// point, read from the live bus (RunSession installs one whenever
+/// --progress is set), so k/N, the rate and the median-based ETA are
+/// cumulative over the session. Enabled only when the flag is set *and*
+/// stderr is a TTY; never touches stdout, so the byte-identical-output
+/// guarantees of run_sweep are unaffected.
 class SweepProgress {
  public:
-  explicit SweepProgress(std::size_t count);
+  SweepProgress(std::size_t count, const obs::Context& ctx);
   SweepProgress(const SweepProgress&) = delete;
   SweepProgress& operator=(const SweepProgress&) = delete;
-  ~SweepProgress();  // clears the ticker line
+  ~SweepProgress();  // ends the ticker line with a summary
 
-  /// Marks one point complete (thread-safe).
-  void tick();
+  /// Redraws the ticker after a point completed (thread-safe).
+  void tick() const;
 
  private:
   /// "12.3s" when `eta_seconds` is a finite positive estimate, else "?"
@@ -76,11 +75,7 @@ class SweepProgress {
   static const char* format_eta(double eta_seconds, char* buf,
                                 std::size_t len);
 
-  std::size_t count_;
-  bool enabled_;
-  std::chrono::steady_clock::time_point start_;
-  std::mutex mu_;
-  std::size_t done_ = 0;
+  obs::LiveBus* bus_;  ///< null when the ticker is disabled
 };
 
 /// Fault-injection hook for the flight-recorder smoke in scripts/check.sh:
@@ -102,111 +97,73 @@ auto run_sweep(std::size_t count, int jobs, Fn&& fn)
                 "sweep points must return a value (return 0 for effects)");
   TC3I_EXPECTS(jobs >= 1);
   std::vector<Result> results(count);
-  detail::SweepProgress progress(count);
+  const obs::Context& parent = obs::current_context();
+  const detail::SweepProgress progress(count, parent);
+  const std::size_t workers =
+      jobs == 1 || count <= 1 ? 1 : std::min(static_cast<std::size_t>(jobs),
+                                             count);
   // Scheduler telemetry (opt-in): one span per point with submit/start/end
-  // host timestamps and the worker lane, fed to the session's
-  // SweepSchedStore. Null store means no clock calls at all, so the
-  // default path is unchanged.
-  obs::SweepSchedStore* sched = obs::sweep_sched_store();
+  // host timestamps and the worker lane. Null store means no clock calls
+  // at all, so the default path is unchanged.
+  obs::SweepSchedStore* sched = parent.sched;
   // Live telemetry (opt-in, sampled — never merged into results): announce
-  // the points and mark each begin/end on the worker's bus cell. Null bus
-  // means the hooks compile down to a pointer test.
-  obs::LiveBus* bus = obs::live_bus();
+  // the points and mark each begin/end on the worker's bus cell.
+  obs::LiveBus* bus = parent.live;
   if (bus != nullptr && count > 0) bus->add_points(count);
   // Flight recorder (always-on, sampled — never merged into results):
   // sweep-begin plus a begin/end pair per point lands in the caller's
   // black-box ring for postmortem dumps.
   if (count > 0)
-    obs::flight::emit(obs::flight::EventKind::kSweepBegin, count,
-                      jobs == 1 || count <= 1
-                          ? 1
-                          : std::min(static_cast<std::size_t>(jobs), count));
-  if (jobs == 1 || count <= 1) {
-    const std::uint32_t sweep_id =
-        sched != nullptr && count > 0 ? sched->begin_sweep(count, 1) : 0;
-    const double submit_us = sched != nullptr ? sched->now_us() : 0.0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const double start_us = sched != nullptr ? sched->now_us() : 0.0;
-      if (bus != nullptr) bus->begin_point(0, i);
-      obs::flight::emit(obs::flight::EventKind::kPointBegin, i, 0);
-      detail::maybe_inject_slow_point(i);
-      results[i] = fn(i);
-      obs::flight::emit(obs::flight::EventKind::kPointEnd, i, 0);
-      if (bus != nullptr) bus->end_point(0);
-      if (sched != nullptr)
-        sched->add_span(obs::SweepJobSpan{
-            sweep_id, static_cast<std::uint32_t>(i), 0, submit_us, start_us,
-            sched->now_us()});
-      progress.tick();
-    }
-    if (count > 0)
-      obs::flight::emit(obs::flight::EventKind::kSweepEnd, count);
-    return results;
-  }
-
-  std::vector<std::unique_ptr<obs::CounterRegistry>> registries(count);
-  for (auto& r : registries) r = std::make_unique<obs::CounterRegistry>();
-  // Per-point run-record / timeline stores, only when the caller collects
-  // them at all (machines skip the work when the active store is null).
-  obs::RunRecordStore* parent_records = obs::active_run_records();
-  obs::TimelineStore* parent_timeline = obs::active_timeline();
-  std::vector<std::unique_ptr<obs::RunRecordStore>> record_stores(count);
-  std::vector<std::unique_ptr<obs::TimelineStore>> timeline_stores(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (parent_records != nullptr)
-      record_stores[i] = std::make_unique<obs::RunRecordStore>();
-    if (parent_timeline != nullptr)
-      timeline_stores[i] = std::make_unique<obs::TimelineStore>(
-          parent_timeline->sample_period_cycles());
-  }
-  std::atomic<std::size_t> next{0};
-  const std::size_t workers =
-      std::min(static_cast<std::size_t>(jobs), count);
+    obs::flight::emit(obs::flight::EventKind::kSweepBegin, count, workers);
   const std::uint32_t sweep_id =
-      sched != nullptr
+      sched != nullptr && count > 0
           ? sched->begin_sweep(count, static_cast<int>(workers))
           : 0;
   const double submit_us = sched != nullptr ? sched->now_us() : 0.0;
-  {
+  // One fork per point when the points run concurrently; inline points
+  // write straight into the caller's context.
+  std::vector<std::unique_ptr<obs::ContextFork>> forks(workers > 1 ? count
+                                                                   : 0);
+
+  const auto run_point = [&](std::size_t i, std::size_t w) {
+    const double start_us = sched != nullptr ? sched->now_us() : 0.0;
+    std::optional<obs::ScopedContext> scope;
+    if (!forks.empty()) {
+      forks[i] = std::make_unique<obs::ContextFork>(parent);
+      scope.emplace(forks[i]->context());
+    }
+    if (bus != nullptr) bus->begin_point(static_cast<std::uint32_t>(w), i);
+    obs::flight::emit(obs::flight::EventKind::kPointBegin, i, w);
+    detail::maybe_inject_slow_point(i);
+    results[i] = fn(i);
+    obs::flight::emit(obs::flight::EventKind::kPointEnd, i, 0);
+    if (bus != nullptr) bus->end_point(static_cast<std::uint32_t>(w));
+    if (sched != nullptr)
+      sched->add_span(obs::SweepJobSpan{
+          sweep_id, static_cast<std::uint32_t>(i),
+          static_cast<std::uint32_t>(w), submit_us, start_us,
+          sched->now_us()});
+    progress.tick();
+  };
+
+  if (workers == 1) {
+    for (std::size_t i = 0; i < count; ++i) run_point(i, 0);
+  } else {
+    std::atomic<std::size_t> next{0};
     std::vector<sthreads::Thread> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       pool.emplace_back([&, w]() {
         for (std::size_t i = next.fetch_add(1); i < count;
-             i = next.fetch_add(1)) {
-          const double start_us = sched != nullptr ? sched->now_us() : 0.0;
-          obs::ScopedRegistry scope(*registries[i]);
-          std::optional<obs::ScopedRunRecords> rec_scope;
-          if (record_stores[i] != nullptr) rec_scope.emplace(*record_stores[i]);
-          std::optional<obs::ScopedTimeline> tl_scope;
-          if (timeline_stores[i] != nullptr)
-            tl_scope.emplace(*timeline_stores[i]);
-          if (bus != nullptr)
-            bus->begin_point(static_cast<std::uint32_t>(w), i);
-          obs::flight::emit(obs::flight::EventKind::kPointBegin, i, w);
-          detail::maybe_inject_slow_point(i);
-          results[i] = fn(i);
-          obs::flight::emit(obs::flight::EventKind::kPointEnd, i, 0);
-          if (bus != nullptr) bus->end_point(static_cast<std::uint32_t>(w));
-          if (sched != nullptr)
-            sched->add_span(obs::SweepJobSpan{
-                sweep_id, static_cast<std::uint32_t>(i),
-                static_cast<std::uint32_t>(w), submit_us, start_us,
-                sched->now_us()});
-          progress.tick();
-        }
+             i = next.fetch_add(1))
+          run_point(i, w);
         obs::flight::emit(obs::flight::EventKind::kWorkerIdle, w);
       });
     }
     // Thread destructors join.
   }
-  obs::flight::emit(obs::flight::EventKind::kSweepEnd, count);
-  obs::CounterRegistry& mine = obs::default_registry();
-  for (const auto& r : registries) mine.merge_from(*r);
-  for (const auto& r : record_stores)
-    if (r != nullptr) parent_records->merge_from(*r);
-  for (const auto& t : timeline_stores)
-    if (t != nullptr) parent_timeline->merge_from(*t);
+  if (count > 0) obs::flight::emit(obs::flight::EventKind::kSweepEnd, count);
+  for (const auto& fork : forks) fork->merge_into(parent);
   return results;
 }
 

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/contracts.hpp"
+#include "obs/context.hpp"
 #include "obs/run_record.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace_sink.hpp"
@@ -541,7 +542,8 @@ Machine::Machine(SmpConfig config) : config_(std::move(config)) {
   if (!err.empty())
     contract_failure("SmpConfig", err.c_str(), __FILE__, __LINE__);
 
-  obs::CounterRegistry& reg = obs::default_registry();
+  const obs::Context& ctx = obs::current_context();
+  obs::CounterRegistry& reg = *ctx.registry;
   obs_.runs = &reg.counter("smp.runs");
   obs_.threads_spawned = &reg.counter("smp.threads.spawned");
   obs_.threads_finished = &reg.counter("smp.threads.finished");
@@ -553,10 +555,10 @@ Machine::Machine(SmpConfig config) : config_(std::move(config)) {
   obs_.run_elapsed_seconds = &reg.histogram("smp.run.elapsed_seconds");
   obs_.lock_wait_seconds = &reg.histogram("smp.run.lock_wait_seconds");
   obs_.last_bus_utilization = &reg.gauge("smp.last.bus_utilization");
-  obs_.sink = obs::global_sink();
-  obs_.records = obs::active_run_records();
-  obs_.timeline = obs::active_timeline();
-  obs_.critpath = obs::active_critpath();
+  obs_.sink = ctx.sink;
+  obs_.records = ctx.records;
+  obs_.timeline = ctx.timeline;
+  obs_.critpath = ctx.critpath;
   if (obs_.sink != nullptr)
     obs_.pid = obs_.sink->register_track(
         config_.name.empty() ? "smp" : config_.name);

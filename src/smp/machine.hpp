@@ -32,8 +32,8 @@ class TimelineStore;
 namespace tc3i::smp {
 
 /// Instrumentation hooks shared by Machine and its internal engine:
-/// always-on counters ("smp." prefix in obs::default_registry()) plus the
-/// optional trace sink captured from obs::global_sink() at construction.
+/// always-on counters ("smp." prefix) plus the optional trace sink and
+/// stores, all captured from obs::current_context() at construction.
 struct ObsHooks {
   obs::Counter* runs = nullptr;
   obs::Counter* threads_spawned = nullptr;
@@ -47,9 +47,9 @@ struct ObsHooks {
   obs::Histogram* lock_wait_seconds = nullptr;
   obs::Gauge* last_bus_utilization = nullptr;
   obs::TraceSink* sink = nullptr;
-  obs::RunRecordStore* records = nullptr;  ///< active_run_records() at ctor
-  obs::TimelineStore* timeline = nullptr;  ///< active_timeline() at ctor
-  obs::CritPathStore* critpath = nullptr;  ///< active_critpath() at ctor
+  obs::RunRecordStore* records = nullptr;
+  obs::TimelineStore* timeline = nullptr;
+  obs::CritPathStore* critpath = nullptr;
   std::uint32_t pid = 0;
 };
 

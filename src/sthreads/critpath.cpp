@@ -81,7 +81,7 @@ NodeRef emit(HostCap& cap, obs::DepKind kind, const NodeRef* preds,
 }  // namespace
 
 void begin(std::string name, int threads) {
-  if (obs::active_critpath() == nullptr) return;
+  if (obs::current_context().critpath == nullptr) return;
   if (active_cap() != nullptr) return;  // no nesting; keep the outer capture
   auto* cap = new HostCap;
   cap->graph.model = "sthreads";
@@ -134,12 +134,9 @@ obs::RunRecord end() {
                 : 0.0;
   rec.critical_path = obs::summarize(cap->graph);
 
-  if (obs::CritPathStore* store = obs::active_critpath()) {
-    store->add(std::move(cap->graph));
-  }
-  if (obs::RunRecordStore* records = obs::active_run_records()) {
-    records->add(rec);
-  }
+  const obs::Context& ctx = obs::current_context();
+  if (ctx.critpath != nullptr) ctx.critpath->add(std::move(cap->graph));
+  if (ctx.records != nullptr) ctx.records->add(rec);
   delete cap;
   return rec;
 }

@@ -13,8 +13,8 @@
 //
 // Capture is process-global and opt-in: the c3ipbs driver brackets each
 // native run with begin()/end() only when --critpath installed a store
-// (obs::active_critpath() != nullptr). Every hook is a no-op guarded by
-// one relaxed atomic load when capture is off.
+// (obs::current_context().critpath != nullptr). Every hook is a no-op
+// guarded by one relaxed atomic load when capture is off.
 #pragma once
 
 #include <atomic>
@@ -49,14 +49,15 @@ struct NodeRef {
   std::uint32_t node = obs::DepGraph::kNoNode;
 };
 
-/// Starts a capture named `name` (no-op when obs::active_critpath() is
-/// null). `threads` is recorded as the run's processor/worker count.
+/// Starts a capture named `name` (no-op when the obs::Context has no
+/// critical-path store). `threads` is recorded as the run's
+/// processor/worker count.
 void begin(std::string name, int threads);
 
 /// Finishes the active capture: links every finished thread chain (and the
-/// caller's) to the end node, summarizes, hands the graph to
-/// obs::active_critpath(), and appends an "sthreads" RunRecord (with the
-/// critical_path section filled) to obs::active_run_records(). Returns the
+/// caller's) to the end node, summarizes, hands the graph to the
+/// obs::Context's critical-path store, and appends an "sthreads" RunRecord
+/// (with the critical_path section filled) to its run-record store. Returns the
 /// record; RunRecord::critical_path.present is false when no capture was
 /// active.
 obs::RunRecord end();

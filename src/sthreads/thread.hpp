@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/counters.hpp"
+#include "obs/context.hpp"
 #include "sthreads/critpath.hpp"
 
 namespace tc3i::sthreads {
@@ -23,14 +23,18 @@ namespace tc3i::sthreads {
 class Thread {
  public:
   Thread() = default;
-  /// The new thread inherits the creator's active obs registry, so counter
-  /// isolation (obs::ScopedRegistry) composes with nested fork/join. Under
-  /// an active critical-path capture the body is additionally wrapped so
-  /// spawn and join become dependency edges (cap::wrap_thread).
+  /// The new thread runs under a copy of the creator's obs::Context, so a
+  /// sweep point's forked registry, stores and scenario label reach nested
+  /// fork/join. Under an active critical-path capture the body is
+  /// additionally wrapped so spawn and join become dependency edges
+  /// (cap::wrap_thread).
   explicit Thread(std::function<void()> fn)
       : cap_final_(cap::make_final_slot()),
-        impl_(obs::inherit_registry(
-            cap::wrap_thread(std::move(fn), cap_final_))) {}
+        impl_([ctx = obs::current_context(),
+               body = cap::wrap_thread(std::move(fn), cap_final_)]() mutable {
+          const obs::ScopedContext scope(std::move(ctx));
+          body();
+        }) {}
 
   Thread(Thread&&) = default;
   Thread& operator=(Thread&& other) {

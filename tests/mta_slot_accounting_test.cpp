@@ -18,6 +18,7 @@
 #include "mta/runtime.hpp"
 #include "mta/stream_program.hpp"
 #include "obs/bottleneck.hpp"
+#include "obs/context.hpp"
 #include "obs/run_record.hpp"
 #include "platforms/platform.hpp"
 #include "platforms/testbed_cache.hpp"
@@ -42,7 +43,9 @@ Outcome run_accounted(const MtaConfig& cfg,
                       const std::function<void(Machine&, ProgramPool&)>& build,
                       const std::string& label) {
   obs::RunRecordStore store;
-  obs::ScopedRunRecords scope(store);
+  obs::Context ctx = obs::current_context();
+  ctx.records = &store;
+  const obs::ScopedContext scope(ctx);
   Machine machine(cfg);
   ProgramPool pool;
   build(machine, pool);
@@ -159,7 +162,9 @@ TEST(SlotAccounting, RegionRollupsCoverEveryStream) {
   const int setup = mta::region_id("setup");
   const int work = mta::region_id("work.inner");
   obs::RunRecordStore store;
-  obs::ScopedRunRecords scope(store);
+  obs::Context ctx = obs::current_context();
+  ctx.records = &store;
+  const obs::ScopedContext scope(ctx);
   Machine machine(platforms::make_mta_config(1));
   ProgramPool pool;
   VectorProgram* a = pool.make_vector();

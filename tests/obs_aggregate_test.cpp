@@ -20,6 +20,7 @@
 #include "mta/machine.hpp"
 #include "mta/runtime.hpp"
 #include "mta/stream_program.hpp"
+#include "obs/context.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "obs/run_record.hpp"
@@ -325,7 +326,9 @@ std::uint64_t run_small_machine(std::size_t index) {
 TEST(SweepAggregator, ByteIdenticalAtAnyJobs) {
   const auto sweep_groups = [](int jobs) {
     RunRecordStore store;
-    ScopedRunRecords scope(store);
+    Context ctx = current_context();
+    ctx.records = &store;
+    const ScopedContext scope(ctx);
     sim::run_sweep(24, jobs,
                    [](std::size_t i) { return run_small_machine(i); });
     return groups_json(aggregate_records(store.records()));
@@ -342,7 +345,9 @@ TEST(SweepAggregator, HundredRunSweepMatchesRecomputationFromRunReport) {
   // recomputation must agree byte-for-byte with the session-side
   // aggregate.
   RunRecordStore store;
-  ScopedRunRecords scope(store);
+  Context ctx = current_context();
+  ctx.records = &store;
+  const ScopedContext scope(ctx);
   sim::run_sweep(100, 4, [](std::size_t i) { return run_small_machine(i); });
   ASSERT_EQ(store.records().size(), 100u);
   const std::string direct = groups_json(aggregate_records(store.records()));

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/context.hpp"
 #include "obs/json.hpp"
 #include "sim/sweep.hpp"
 
@@ -41,12 +42,14 @@ TEST(HostRes, SampleAndDeltaAreSane) {
 
 TEST(SweepSchedStore, OneSpanPerPointWorkersWithinJobs) {
   SweepSchedStore store;
-  SweepSchedStore* prev = sweep_sched_store();
-  set_sweep_sched_store(&store);
   const int kJobs = 3;
   const std::size_t kPoints = 17;
-  sim::run_sweep(kPoints, kJobs, [](std::size_t i) { return i * 2; });
-  set_sweep_sched_store(prev);
+  {
+    Context ctx = current_context();
+    ctx.sched = &store;
+    const ScopedContext scope(ctx);
+    sim::run_sweep(kPoints, kJobs, [](std::size_t i) { return i * 2; });
+  }
 
   ASSERT_EQ(store.size(), kPoints);
   ASSERT_EQ(store.sweeps().size(), 1u);
@@ -66,10 +69,12 @@ TEST(SweepSchedStore, OneSpanPerPointWorkersWithinJobs) {
 
 TEST(SweepSchedStore, InlinePathRecordsSpansToo) {
   SweepSchedStore store;
-  SweepSchedStore* prev = sweep_sched_store();
-  set_sweep_sched_store(&store);
-  sim::run_sweep(5, 1, [](std::size_t i) { return i; });
-  set_sweep_sched_store(prev);
+  {
+    Context ctx = current_context();
+    ctx.sched = &store;
+    const ScopedContext scope(ctx);
+    sim::run_sweep(5, 1, [](std::size_t i) { return i; });
+  }
   EXPECT_EQ(store.size(), 5u);
   for (const SweepJobSpan& s : store.spans()) EXPECT_EQ(s.worker, 0u);
 }
@@ -91,10 +96,12 @@ TEST(SweepSchedStore, SummaryTotalsMatchSpans) {
 
 TEST(SweepSchedStore, ChromeTraceIsValidJson) {
   SweepSchedStore store;
-  SweepSchedStore* prev = sweep_sched_store();
-  set_sweep_sched_store(&store);
-  sim::run_sweep(8, 2, [](std::size_t i) { return i; });
-  set_sweep_sched_store(prev);
+  {
+    Context ctx = current_context();
+    ctx.sched = &store;
+    const ScopedContext scope(ctx);
+    sim::run_sweep(8, 2, [](std::size_t i) { return i; });
+  }
 
   std::ostringstream os;
   store.write_chrome_trace(os);

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/context.hpp"
 #include "obs/json.hpp"
 #include "sim/sweep.hpp"
 
@@ -112,13 +113,16 @@ TEST(LiveBusTest, EtaFallsBackToCumulativeRateBeforeFirstCompletion) {
 
 TEST(LiveBusTest, RunSweepFeedsInstalledBus) {
   obs::LiveBus bus;
-  obs::set_live_bus(&bus);
   std::atomic<int> ran{0};
-  (void)tc3i::sim::run_sweep(12, 3, [&](std::size_t) {
-    ++ran;
-    return 0;
-  });
-  obs::set_live_bus(nullptr);
+  {
+    obs::Context ctx = obs::current_context();
+    ctx.live = &bus;
+    const obs::ScopedContext scope(ctx);
+    (void)tc3i::sim::run_sweep(12, 3, [&](std::size_t) {
+      ++ran;
+      return 0;
+    });
+  }
   EXPECT_EQ(ran.load(), 12);
   const obs::LiveBus::Progress p = bus.progress();
   EXPECT_EQ(p.total, 12u);
@@ -166,7 +170,6 @@ TEST(LiveWatchdogTest, IdleWorkerIsNotStalled) {
   bus.add_points(1);
   bus.begin_point(0, 0);
   bus.end_point(0);
-  bus.idle(0);
   sleep_ms(15);
   // Heartbeat is stale but the worker holds no work: no anomaly.
   EXPECT_TRUE(bus.snapshot().anomalies.empty());
@@ -293,7 +296,6 @@ TEST(LivePublisherTest, PublishesUnderWorkerConcurrency) {
           bus.record_cache(i % 2 == 0);
           bus.complete_point(w, point, 10'000);
         }
-        bus.idle(w);
       });
     for (std::thread& t : workers) t.join();
     sleep_ms(5);  // let at least one periodic snapshot land
@@ -363,7 +365,6 @@ TEST(LivePublisherTest, ConcurrentReaderNeverSeesTornSnapshot) {
           bus.complete_point(w, point, 10'000);
           std::this_thread::sleep_for(std::chrono::microseconds(50));
         }
-        bus.idle(w);
       });
     for (std::thread& t : workers) t.join();
     publisher.finish();

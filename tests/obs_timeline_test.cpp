@@ -12,6 +12,7 @@
 
 #include "mta/machine.hpp"
 #include "mta/stream_program.hpp"
+#include "obs/context.hpp"
 #include "obs/timeline.hpp"
 #include "platforms/platform.hpp"
 #include "sim/sweep.hpp"
@@ -41,7 +42,9 @@ void run_mta_point(std::size_t index, bool slow) {
 
 std::string sweep_csv(int jobs) {
   obs::TimelineStore store(512);
-  obs::ScopedTimeline scope(store);
+  obs::Context ctx = obs::current_context();
+  ctx.timeline = &store;
+  const obs::ScopedContext scope(ctx);
   (void)sim::run_sweep(4, jobs, [&](std::size_t i) {
     run_mta_point(i, /*slow=*/false);
     return 0;
@@ -62,7 +65,9 @@ TEST(Timeline, FastAndSlowMtaPathsSampleIdentically) {
   std::string csv[2];
   for (const bool slow : {false, true}) {
     obs::TimelineStore store(256);
-    obs::ScopedTimeline scope(store);
+    obs::Context ctx = obs::current_context();
+    ctx.timeline = &store;
+    const obs::ScopedContext scope(ctx);
     run_mta_point(2, slow);
     std::ostringstream os;
     store.write_csv(os);
@@ -75,7 +80,9 @@ TEST(Timeline, FastAndSlowMtaPathsSampleIdentically) {
 TEST(Timeline, MtaSeriesAreMonotoneAndBounded) {
   obs::TimelineStore store(512);
   {
-    obs::ScopedTimeline scope(store);
+    obs::Context ctx = obs::current_context();
+    ctx.timeline = &store;
+    const obs::ScopedContext scope(ctx);
     run_mta_point(3, /*slow=*/false);
   }
   const auto timelines = store.timelines();
@@ -103,7 +110,9 @@ TEST(Timeline, MtaUtilizationIntegratesToIssuedInstructions) {
   obs::TimelineStore store(512);
   mta::MtaRunResult result;
   {
-    obs::ScopedTimeline scope(store);
+    obs::Context ctx = obs::current_context();
+    ctx.timeline = &store;
+    const obs::ScopedContext scope(ctx);
     mta::Machine machine(platforms::make_mta_config(1));
     mta::ProgramPool pool;
     for (int s = 0; s < 8; ++s) {
@@ -147,7 +156,9 @@ TEST(Timeline, SmpRunExportsResampledSeries) {
 
   obs::TimelineStore store(4096);
   {
-    obs::ScopedTimeline scope(store);
+    obs::Context ctx = obs::current_context();
+    ctx.timeline = &store;
+    const obs::ScopedContext scope(ctx);
     smp::Machine machine(cfg);
     (void)machine.run(workload);
   }
@@ -178,7 +189,9 @@ TEST(Timeline, SmpRunExportsResampledSeries) {
 TEST(Timeline, CsvHasHeaderAndStableShape) {
   obs::TimelineStore store(1024);
   {
-    obs::ScopedTimeline scope(store);
+    obs::Context ctx = obs::current_context();
+    ctx.timeline = &store;
+    const obs::ScopedContext scope(ctx);
     run_mta_point(0, /*slow=*/false);
   }
   std::ostringstream os;
@@ -198,7 +211,9 @@ TEST(Timeline, CsvHasHeaderAndStableShape) {
 TEST(Timeline, ValidatorAcceptsRealExports) {
   obs::TimelineStore store(512);
   {
-    obs::ScopedTimeline scope(store);
+    obs::Context ctx = obs::current_context();
+    ctx.timeline = &store;
+    const obs::ScopedContext scope(ctx);
     run_mta_point(0, /*slow=*/false);
     smp::SmpConfig cfg;
     cfg.name = "smp_test";

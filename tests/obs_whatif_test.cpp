@@ -15,6 +15,7 @@
 
 #include "mta/machine.hpp"
 #include "mta/stream_program.hpp"
+#include "obs/context.hpp"
 #include "obs/critpath.hpp"
 #include "obs/run_record.hpp"
 #include "obs/whatif.hpp"
@@ -41,9 +42,11 @@ MtaCapture run_mta_captured(
     const mta::MtaConfig& cfg,
     const std::function<void(mta::Machine&, mta::ProgramPool&)>& build) {
   obs::CritPathStore store(/*retain_graphs=*/true);
-  obs::ScopedCritPath cap_scope(store);
   obs::RunRecordStore records;
-  obs::ScopedRunRecords rec_scope(records);
+  obs::Context ctx = obs::current_context();
+  ctx.critpath = &store;
+  ctx.records = &records;
+  const obs::ScopedContext scope(ctx);
   mta::Machine m(cfg);
   mta::ProgramPool pool;
   build(m, pool);
@@ -201,7 +204,9 @@ TEST(WhatIfMta, CaptureOffLeavesRecordEmpty) {
   mta::MtaConfig cfg;
   cfg.name = "whatif-off";
   obs::RunRecordStore records;
-  obs::ScopedRunRecords rec_scope(records);
+  obs::Context ctx = obs::current_context();
+  ctx.records = &records;
+  const obs::ScopedContext scope(ctx);
   mta::Machine m(cfg);
   mta::ProgramPool pool;
   mta::VectorProgram* p = pool.make_vector();
@@ -218,7 +223,9 @@ TEST(WhatIfMta, LookaheadDisablesCapture) {
   cfg.name = "whatif-lookahead";
   cfg.lookahead = 4;
   obs::CritPathStore store(/*retain_graphs=*/true);
-  obs::ScopedCritPath cap_scope(store);
+  obs::Context ctx = obs::current_context();
+  ctx.critpath = &store;
+  const obs::ScopedContext scope(ctx);
   mta::Machine m(cfg);
   mta::ProgramPool pool;
   mta::VectorProgram* p = pool.make_vector();
@@ -239,9 +246,11 @@ struct SmpCapture {
 SmpCapture run_smp_captured(const smp::SmpConfig& cfg,
                             const sim::WorkloadTrace& workload) {
   obs::CritPathStore store(/*retain_graphs=*/true);
-  obs::ScopedCritPath cap_scope(store);
   obs::RunRecordStore records;
-  obs::ScopedRunRecords rec_scope(records);
+  obs::Context ctx = obs::current_context();
+  ctx.critpath = &store;
+  ctx.records = &records;
+  const obs::ScopedContext scope(ctx);
   smp::Machine m(cfg);
   const smp::RunResult r = m.run(workload);
   SmpCapture out;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "mta/stream_program.hpp"
+#include "obs/context.hpp"
 #include "obs/counters.hpp"
 #include "platforms/calibration.hpp"
 #include "platforms/experiment.hpp"
@@ -140,7 +141,9 @@ TEST(RunMtaPoints, PerRunWallTimeFitsInTheCallsElapsedTime) {
     points.push_back(std::move(p));
   }
   obs::CounterRegistry registry;
-  const obs::ScopedRegistry scope(registry);
+  obs::Context ctx = obs::current_context();
+  ctx.registry = &registry;
+  const obs::ScopedContext scope(ctx);
   const auto start = std::chrono::steady_clock::now();
   const std::vector<double> seconds = run_mta_points(points, /*jobs=*/1);
   const double elapsed = std::chrono::duration<double>(

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "obs/context.hpp"
 #include "obs/counters.hpp"
 
 namespace tc3i::sim {
@@ -91,7 +92,9 @@ TEST(EventQueue, CountsIntoTheRegistryCurrentAtConstruction) {
   for (int round = 0; round < 2; ++round) {
     obs::CounterRegistry registry;
     {
-      const obs::ScopedRegistry scope(registry);
+      obs::Context ctx = obs::current_context();
+      ctx.registry = &registry;
+      const obs::ScopedContext scope(ctx);
       EventQueue q;
       for (int i = 0; i < 3; ++i) q.schedule_at(i, [] {});
       q.run();

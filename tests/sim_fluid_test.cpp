@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "obs/context.hpp"
 #include "obs/counters.hpp"
 
 namespace tc3i::sim {
@@ -91,7 +92,9 @@ TEST(WaterFill, CountsIntoTheRegistryCurrentAtEachCall) {
   for (int round = 0; round < 2; ++round) {
     obs::CounterRegistry registry;
     {
-      const obs::ScopedRegistry scope(registry);
+      obs::Context ctx = obs::current_context();
+      ctx.registry = &registry;
+      const obs::ScopedContext scope(ctx);
       const std::vector<double> caps{1.0, 1.0, 1.0};
       (void)water_fill(1.5, caps);  // capacity-limited: saturates
       (void)water_fill(5.0, caps);  // every cap granted

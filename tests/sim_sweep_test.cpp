@@ -6,9 +6,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "obs/context.hpp"
 #include "obs/counters.hpp"
+#include "obs/critpath.hpp"
+#include "obs/run_record.hpp"
 #include "sthreads/thread.hpp"
 
 namespace tc3i::sim {
@@ -73,7 +77,9 @@ TEST(RunSweep, ThunkListOverload) {
 
 TEST(RunSweep, CountersMergeIntoCallerRegistry) {
   obs::CounterRegistry caller;
-  obs::ScopedRegistry scope(caller);
+  obs::Context ctx = obs::current_context();
+  ctx.registry = &caller;
+  const obs::ScopedContext scope(ctx);
   const auto r = run_sweep(8, 4, [](std::size_t i) {
     obs::default_registry().counter("sweep_test.points").add();
     obs::default_registry().counter("sweep_test.work").add(i);
@@ -105,7 +111,9 @@ TEST(RunSweep, PointsAreIsolatedFromEachOther) {
 
 TEST(RunSweep, RegistryInheritedByNestedSthreads) {
   obs::CounterRegistry caller;
-  obs::ScopedRegistry scope(caller);
+  obs::Context ctx = obs::current_context();
+  ctx.registry = &caller;
+  const obs::ScopedContext scope(ctx);
   (void)run_sweep(4, 2, [](std::size_t) {
     sthreads::fork_join(3, [](int) {
       obs::default_registry().counter("sweep_test.nested").add();
@@ -115,9 +123,51 @@ TEST(RunSweep, RegistryInheritedByNestedSthreads) {
   EXPECT_EQ(caller.counter("sweep_test.nested").value(), 12u);
 }
 
+TEST(RunSweep, RunRecordsAndLabelInheritedByNestedSthreads) {
+  // Each point's fork_join children add one RunRecord each, in a fixed
+  // order, under the point's scenario label. They must land in the
+  // caller's store, labelled, in the same order at any --jobs.
+  constexpr std::size_t kPoints = 6;
+  constexpr int kChildren = 3;
+  const auto sweep_records = [](int jobs) {
+    obs::RunRecordStore store;
+    obs::Context ctx = obs::current_context();
+    ctx.records = &store;
+    const obs::ScopedContext scope(ctx);
+    (void)run_sweep(kPoints, jobs, [](std::size_t i) {
+      const obs::ScopedScenarioLabel label("point" + std::to_string(i));
+      std::atomic<int> turn{0};
+      sthreads::fork_join(kChildren, [&](int t) {
+        while (turn.load() != t) std::this_thread::yield();
+        obs::RunRecord r;
+        r.model = "sthreads";
+        r.name = "p" + std::to_string(i) + ".t" + std::to_string(t);
+        if (obs::RunRecordStore* s = obs::current_context().records)
+          s->add(std::move(r));
+        turn.store(t + 1);
+      });
+      return 0;
+    });
+    return store.records();
+  };
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < kPoints; ++i)
+    for (int t = 0; t < kChildren; ++t)
+      expected.push_back("point" + std::to_string(i) + "/p" +
+                         std::to_string(i) + ".t" + std::to_string(t));
+  for (const int jobs : {1, 4}) {
+    std::vector<std::string> got;
+    for (const obs::RunRecord& r : sweep_records(jobs))
+      got.push_back(r.scenario + "/" + r.name);
+    EXPECT_EQ(got, expected) << "jobs=" << jobs;
+  }
+}
+
 TEST(RunSweep, JobsOneRunsInlineOnCallerRegistry) {
   obs::CounterRegistry caller;
-  obs::ScopedRegistry scope(caller);
+  obs::Context ctx = obs::current_context();
+  ctx.registry = &caller;
+  const obs::ScopedContext scope(ctx);
   obs::Counter& c = caller.counter("sweep_test.inline");
   (void)run_sweep(3, 1, [&](std::size_t) {
     // Inline execution sees the caller's registry object directly (no
@@ -129,20 +179,55 @@ TEST(RunSweep, JobsOneRunsInlineOnCallerRegistry) {
   EXPECT_EQ(c.value(), 3u);
 }
 
-TEST(ScopedRegistry, NestsAndRestores) {
+TEST(ScopedContext, NestsAndRestores) {
   obs::CounterRegistry a;
   obs::CounterRegistry b;
   obs::CounterRegistry* base = &obs::default_registry();
   {
-    obs::ScopedRegistry sa(a);
+    obs::Context ca = obs::current_context();
+    ca.registry = &a;
+    const obs::ScopedContext sa(ca);
     EXPECT_EQ(&obs::default_registry(), &a);
     {
-      obs::ScopedRegistry sb(b);
+      obs::Context cb = obs::current_context();
+      cb.registry = &b;
+      const obs::ScopedContext sb(cb);
       EXPECT_EQ(&obs::default_registry(), &b);
+      {
+        const obs::ScopedScenarioLabel label("inner");
+        EXPECT_EQ(obs::current_context().scenario, "inner");
+        EXPECT_EQ(&obs::default_registry(), &b);
+      }
+      EXPECT_EQ(obs::current_context().scenario, "");
     }
     EXPECT_EQ(&obs::default_registry(), &a);
   }
   EXPECT_EQ(&obs::default_registry(), base);
+}
+
+TEST(ContextFork, FreshPerPointStoresSharedRest) {
+  obs::RunRecordStore records;
+  obs::CritPathStore critpath;
+  obs::Context parent = obs::current_context();
+  parent.records = &records;
+  parent.critpath = &critpath;
+  parent.scenario = "threat";
+  const obs::ContextFork fork(parent);
+  const obs::Context& ctx = fork.context();
+  EXPECT_NE(ctx.registry, parent.registry);
+  EXPECT_NE(ctx.records, nullptr);
+  EXPECT_NE(ctx.records, parent.records);
+  EXPECT_EQ(ctx.timeline, nullptr);  // the parent collects no timelines
+  EXPECT_EQ(ctx.critpath, &critpath);
+  EXPECT_EQ(ctx.scenario, "threat");
+
+  obs::CounterRegistry caller;
+  parent.registry = &caller;
+  ctx.registry->counter("fork_test.points").add(2);
+  ctx.records->add(obs::RunRecord{});
+  fork.merge_into(parent);
+  EXPECT_EQ(caller.counter("fork_test.points").value(), 2u);
+  EXPECT_EQ(records.size(), 1u);
 }
 
 TEST(RegistryMerge, HistogramsCombineExactly) {

@@ -8,6 +8,7 @@
 #include <array>
 #include <cstddef>
 
+#include "obs/context.hpp"
 #include "obs/critpath.hpp"
 #include "obs/run_record.hpp"
 #include "obs/whatif.hpp"
@@ -32,9 +33,11 @@ TEST(SthreadsCritPath, OffByDefault) {
 
 TEST(SthreadsCritPath, CapturesAllPrimitiveEdgeKinds) {
   obs::CritPathStore store(/*retain_graphs=*/true);
-  obs::ScopedCritPath scope(store);
   obs::RunRecordStore records;
-  obs::ScopedRunRecords scoped_records(records);
+  obs::Context ctx = obs::current_context();
+  ctx.critpath = &store;
+  ctx.records = &records;
+  const obs::ScopedContext scope(ctx);
 
   sthreads::cap::begin("primitives", 2);
   ASSERT_TRUE(sthreads::cap::enabled());
@@ -113,7 +116,9 @@ TEST(SthreadsCritPath, CapturesAllPrimitiveEdgeKinds) {
 
 TEST(SthreadsCritPath, PrimitivesSurviveAcrossCaptures) {
   obs::CritPathStore store(/*retain_graphs=*/true);
-  obs::ScopedCritPath scope(store);
+  obs::Context ctx = obs::current_context();
+  ctx.critpath = &store;
+  const obs::ScopedContext scope(ctx);
 
   // The SyncVar outlives the first capture; its stored node handles become
   // stale and must be ignored (not dereferenced) by the second capture.
