@@ -138,10 +138,54 @@ void Machine::push_wake(std::uint64_t at, StreamId sid, StallReason why) {
         .waiting[static_cast<std::size_t>(why)];
   if (slow_) {
     heap_.push(Wake{at, sid});
+    return;
+  }
+  WakeLane& lane = lanes_[static_cast<std::size_t>(why)];
+  if (lane.accepts(at)) {
+    lane.push(Wake{at, sid, s.proc});
   } else {
     if (at < pushed_min_) pushed_min_ = at;
     wheel_.push(at, sid);
   }
+}
+
+void Machine::deliver_due(std::uint64_t now, bool from_wheel) {
+  due_.clear();
+  if (from_wheel)
+    wheel_.drain_due(now, [this](std::uint64_t at, StreamId sid) {
+      due_.push_back(Wake{at, sid});
+    });
+  if (due_.empty()) {
+    if (lane_due() > now) return;
+    // Each lane is sorted, so its due wakes are a prefix. Usually only one
+    // lane has any: deliver that prefix as is.
+    std::size_t due_lanes = 0;
+    std::size_t r = 0;
+    for (std::size_t i = 0; i < kNumWakeLanes; ++i) {
+      if (lanes_[i].front_cycle() <= now) {
+        ++due_lanes;
+        r = i;
+      }
+    }
+    if (due_lanes == 1) {
+      WakeLane& lane = lanes_[r];
+      const auto why = static_cast<StallReason>(r);
+      do {
+        make_stream_ready(lane.front().stream, lane.front().proc, why);
+        lane.pop();
+      } while (lane.front_cycle() <= now);
+      return;
+    }
+  }
+  // Several sources are due: sort their wakes together.
+  for (WakeLane& lane : lanes_) {
+    while (lane.front_cycle() <= now) {
+      due_.push_back(lane.front());
+      lane.pop();
+    }
+  }
+  std::sort(due_.begin(), due_.end());
+  for (const Wake& w : due_) make_stream_ready(w.stream);
 }
 
 void Machine::park_sync(StreamId sid) {
@@ -176,9 +220,14 @@ void Machine::runaway_abort(std::uint64_t now) const {
 
 void Machine::make_stream_ready(StreamId sid) {
   const Stream& s = streams_[static_cast<std::size_t>(sid)];
-  --acct_[static_cast<std::size_t>(s.proc)]
-        .waiting[static_cast<std::size_t>(s.wait_reason)];
-  procs_[static_cast<std::size_t>(s.proc)].make_ready(sid);
+  make_stream_ready(sid, s.proc, s.wait_reason);
+}
+
+inline void Machine::make_stream_ready(StreamId sid, int proc,
+                                       StallReason why) {
+  --acct_[static_cast<std::size_t>(proc)]
+        .waiting[static_cast<std::size_t>(why)];
+  procs_[static_cast<std::size_t>(proc)].make_ready(sid);
   ++ready_count_;
 }
 
@@ -254,6 +303,7 @@ void Machine::activate(StreamProgram* program, bool software,
   s.proc = proc;
   s.activated = now;
   streams_.push_back(s);
+  if (config_.lookahead > 0) outstanding_.emplace_back();
   ++live_streams_;
   peak_live_ = std::max(peak_live_, static_cast<std::uint64_t>(live_streams_));
 
@@ -357,9 +407,10 @@ void Machine::complete_memory_op(StreamId sid, std::uint64_t now,
   // Explicit-dependence lookahead: the stream keeps issuing while at most
   // `lookahead` memory operations are outstanding; otherwise it waits for
   // the oldest one that must retire first.
-  auto& outstanding = streams_[static_cast<std::size_t>(sid)].outstanding;
-  while (!outstanding.empty() && outstanding.front() <= now)
-    outstanding.pop_front();
+  auto& outstanding = outstanding_[static_cast<std::size_t>(sid)];
+  auto retired = outstanding.begin();
+  while (retired != outstanding.end() && *retired <= now) ++retired;
+  outstanding.erase(outstanding.begin(), retired);
   outstanding.push_back(done);
   std::uint64_t wake = spacing;
   if (outstanding.size() > lookahead)
@@ -530,12 +581,13 @@ void Machine::issue(StreamId sid, std::uint64_t now) {
 }
 
 std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
-  // Exactly one stream is ready machine-wide and the wheel is drained to
-  // `now`, so no other stream can issue before the wheel's next due cycle.
-  // Within that window this stream's instructions can be retired without
-  // bouncing each one through the wake queue — and entire Compute runs
-  // collapse to arithmetic. The wheel is not touched while in here (memory
-  // ops complete inline), so `next_due` is loop-invariant.
+  // Exactly one stream is ready machine-wide and every wake due by `now`
+  // has been delivered, so no other stream can issue before the next
+  // pending wake. Within that window this stream's instructions can be
+  // retired without bouncing each one through the wake queue — and entire
+  // Compute runs collapse to arithmetic. Neither the lanes nor the wheel
+  // are touched while in here (memory ops complete inline), so `next_due`
+  // is loop-invariant.
   Processor* proc = nullptr;
   for (auto& p : procs_)
     if (p.has_ready()) proc = &p;
@@ -545,7 +597,7 @@ std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
   Stream& s = streams_[static_cast<std::size_t>(sid)];
   const auto spacing =
       static_cast<std::uint64_t>(config_.issue_spacing_cycles);
-  const std::uint64_t next_due = wheel_.next_due();  // kNone when empty
+  const std::uint64_t next_due = next_wake();
   const bool la0 = config_.lookahead == 0;
 
   // Slot accounting: every processor but p idles the whole span with a
@@ -582,7 +634,7 @@ std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
       // Issues land at now, now+S, ...; every issue after the first is
       // only sole-ready if it comes strictly before the next foreign wake.
       std::uint64_t k = s.cur.count;
-      if (next_due != sim::TimerWheel<StreamId>::kNone)
+      if (next_due != kNoWake)
         k = std::min(k, 1 + (next_due - 1 - now) / spacing);
       charge(k);
       issued_compute_ += k;
@@ -591,8 +643,7 @@ std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
       if (s.cur.count == 0) s.has_cur = false;
       const std::uint64_t last = now + (k - 1) * spacing;
       const std::uint64_t wake = last + spacing;
-      if (s.cur.count > 0 ||
-          (next_due != sim::TimerWheel<StreamId>::kNone && next_due <= wake)) {
+      if (s.cur.count > 0 || next_due <= wake) {
         // A foreign wake lands before (or at) our next issue: queue our
         // wake and let the generic loop arbitrate. Covered cycles end at
         // `last`: k issues plus the k-1 spacing gaps between them.
@@ -619,7 +670,7 @@ std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
       const std::uint64_t wake = std::max(done, now + spacing);
       const StallReason why = done > now + spacing ? StallReason::kMemory
                                                    : StallReason::kSpacing;
-      if (next_due != sim::TimerWheel<StreamId>::kNone && next_due <= wake) {
+      if (next_due <= wake) {
         push_wake(wake, sid, why);
         foreign_idle(now + 1);
         return now + 1;
@@ -808,92 +859,84 @@ std::uint64_t Machine::run_fast_loop() {
   const std::uint64_t max_cycles = max_cycles_;
   const bool tracing = obs_.sink != nullptr;
   const std::uint64_t bucket = config_.timeline_bucket_cycles;
-  {
-    const auto spacing =
-        static_cast<std::uint64_t>(config_.issue_spacing_cycles);
-    while (live_streams_ > 0 || !pending_.empty()) {
+  const auto spacing =
+      static_cast<std::uint64_t>(config_.issue_spacing_cycles);
+  // Solo fast-forward: with one ready stream machine-wide (and no tracing,
+  // timeline sampling, or dependency-graph capture observing individual
+  // instructions), whole instruction runs retire analytically. It only
+  // pays when no other wake is due within the stream's spacing window;
+  // otherwise run_solo would retire one instruction, as the generic loop
+  // does more cheaply.
+  const bool solo_ok =
+      !tracing && bucket == 0 && sample_period_ == 0 && cap_ == nullptr;
+  const auto solo_pays = [&] {
+    return solo_ok && ready_count_ == 1 && next_wake() > now + spacing;
+  };
+  while (live_streams_ > 0 || !pending_.empty()) {
+    if (now >= max_cycles) runaway_abort(now);
+    if (tracing) emit_trace_buckets(now, /*final=*/false);
+
+    deliver_due(now, /*from_wheel=*/true);
+    if (solo_pays()) {
+      now = run_solo(now, max_cycles);
+      continue;
+    }
+
+    // Window batching: lane heads are delivered inline every cycle, so the
+    // window only has to end where the timing wheel has work: its next due
+    // cycle, pulled in whenever an issued instruction pushes an earlier
+    // wake onto it. (Tracing samples per cycle, so it takes the one-cycle
+    // window.)
+    std::uint64_t limit = tracing ? now + 1 : wheel_.next_due();
+    pushed_min_ = kNoWake;
+    bool any_ready = false;
+    while (true) {
       if (now >= max_cycles) runaway_abort(now);
-      if (tracing) emit_trace_buckets(now, /*final=*/false);
-
-      wheel_.drain_due(now, [this](std::uint64_t, StreamId sid) {
-        make_stream_ready(sid);
-      });
-
-      // Solo fast-forward: with one ready stream machine-wide (and no
-      // tracing, timeline sampling, or dependency-graph capture observing
-      // individual instructions), whole instruction runs retire
-      // analytically.
-      if (ready_count_ == 1 && !tracing && bucket == 0 &&
-          sample_period_ == 0 && cap_ == nullptr) {
-        now = run_solo(now, max_cycles);
-        continue;
+      if (sample_period_ != 0) {
+        if (now >= sample_next_) flush_samples(now);
+        sample_ready_sum_ += ready_count_;
       }
-
-      // Window batching: a stream issuing at cycle c re-wakes no earlier
-      // than c + spacing, so between drains the only wakes that can land
-      // inside the window come from spawns (spawn cost < spacing). Issue
-      // up to min(next_due, now + spacing) cycles on the existing ready
-      // queues without re-draining the wheel, shrinking the window
-      // whenever an issued instruction pushes an earlier wake. (Tracing
-      // samples per cycle, so it takes the one-cycle window.)
-      std::uint64_t limit = now + 1;
-      if (!tracing) {
-        limit = now + spacing;
-        const std::uint64_t nd = wheel_.next_due();
-        if (nd < limit) limit = nd;
-        if (limit <= now) limit = now + 1;
+      any_ready = false;
+      for (auto& p : procs_) {
+        if (p.has_ready()) {
+          any_ready = true;
+          --ready_count_;
+          issue(p.pop_ready(), now);
+          if (bucket > 0) {
+            const std::size_t b = static_cast<std::size_t>(now / bucket);
+            if (b >= bucket_issues_.size()) bucket_issues_.resize(b + 1, 0);
+            ++bucket_issues_[b];
+          }
+        } else {
+          account_idle(p.id(), 1);
+        }
       }
-
-      // The live-stream check mirrors the outer loop: when the last stream
+      if (!any_ready) break;
+      ++now;
+      // A wheel wake due at d must be delivered at the start of cycle
+      // max(d, now); end the window there if that is sooner. The
+      // live-stream check mirrors the outer loop: when the last stream
       // quits mid-window the machine is dead, and scanning another cycle
       // would attribute a phantom idle slot past the end of the run.
-      bool any_ready = true;
-      while (any_ready && now < limit &&
-             (live_streams_ > 0 || !pending_.empty())) {
-        if (now >= max_cycles) runaway_abort(now);
-        if (sample_period_ != 0) {
-          if (now >= sample_next_) flush_samples(now);
-          sample_ready_sum_ += ready_count_;
-        }
-        any_ready = false;
-        pushed_min_ = sim::TimerWheel<StreamId>::kNone;
-        for (auto& p : procs_) {
-          if (p.has_ready()) {
-            any_ready = true;
-            --ready_count_;
-            issue(p.pop_ready(), now);
-            if (bucket > 0) {
-              const std::size_t b = static_cast<std::size_t>(now / bucket);
-              if (b >= bucket_issues_.size()) bucket_issues_.resize(b + 1, 0);
-              ++bucket_issues_[b];
-            }
-          } else {
-            account_idle(p.id(), 1);
-          }
-        }
-        if (any_ready) {
-          // A wake due at d must be delivered at the start of cycle
-          // max(d, now + 1); end the window there if that is sooner.
-          const std::uint64_t due = std::max(pushed_min_, now + 1);
-          if (due < limit) limit = due;
-          ++now;
-        }
-      }
+      limit = std::min(limit, std::max(pushed_min_, now));
+      if (now >= limit || (live_streams_ == 0 && pending_.empty())) break;
+      deliver_due(now, /*from_wheel=*/false);
+      if (solo_pays()) break;
+    }
 
-      if (!any_ready) {
-        if (!wheel_.empty()) {
-          const std::uint64_t next = std::max(now + 1, wheel_.next_due());
-          // The last scan attributed cycle `now`; the skipped span up to
-          // the next wake is idle for every processor under an unchanged
-          // census.
-          if (next - now > 1)
-            for (auto& p : procs_) account_idle(p.id(), next - now - 1);
-          now = next;
-        } else {
-          // No stream can ever become ready again: every remaining stream
-          // is blocked on a full/empty bit that nobody will flip.
-          TC3I_ASSERT(live_streams_ == 0 && pending_.empty());
-        }
+    if (!any_ready) {
+      const std::uint64_t due = next_wake();
+      if (due != kNoWake) {
+        const std::uint64_t next = std::max(now + 1, due);
+        // The last scan attributed cycle `now`; the skipped span up to the
+        // next wake is idle for every processor under an unchanged census.
+        if (next - now > 1)
+          for (auto& p : procs_) account_idle(p.id(), next - now - 1);
+        now = next;
+      } else {
+        // No stream can ever become ready again: every remaining stream is
+        // blocked on a full/empty bit that nobody will flip.
+        TC3I_ASSERT(live_streams_ == 0 && pending_.empty());
       }
     }
   }

@@ -20,9 +20,9 @@
 //     frees.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <queue>
 #include <set>
@@ -143,6 +143,10 @@ class Machine {
     kSync = 3,     ///< blocked on a full/empty bit (incl. post-hand-off trip)
   };
   static constexpr std::size_t kNumStallReasons = 4;
+  /// Wake lanes, one per stall reason that schedules a wake (kSync streams
+  /// wait in memory with none), indexed by the reason's value.
+  static constexpr std::size_t kNumWakeLanes = 3;
+  static constexpr std::uint64_t kNoWake = sim::TimerWheel<StreamId>::kNone;
 
   struct Stream {
     StreamProgram* program = nullptr;
@@ -154,9 +158,6 @@ class Machine {
     StallReason wait_reason = StallReason::kSpacing;  ///< valid while parked
     std::uint64_t issued = 0;     ///< instructions this stream issued
     std::uint64_t activated = 0;  ///< cycle activate() ran
-    /// Completion cycles of outstanding memory ops (lookahead > 0 only;
-    /// monotonically increasing, bounded by lookahead + 1).
-    std::deque<std::uint64_t> outstanding;
   };
 
   /// Per-processor issue-slot account plus the census of parked streams by
@@ -177,9 +178,64 @@ class Machine {
   struct Wake {
     std::uint64_t cycle;
     StreamId stream;
+    int proc = -1;  ///< the stream's processor (lane entries only)
     bool operator>(const Wake& o) const {
       return cycle != o.cycle ? cycle > o.cycle : stream > o.stream;
     }
+    bool operator<(const Wake& o) const { return o > *this; }
+  };
+
+  /// Fast path: a FIFO ring of wakes in ascending (cycle, stream id)
+  /// order, so the due ones are always a prefix (see docs/PERFORMANCE.md,
+  /// "Wake lanes over a timing wheel"). Grows by doubling, so its capacity
+  /// tracks the most streams ever parked in it at once.
+  class WakeLane {
+   public:
+    [[nodiscard]] bool empty() const { return head_ == tail_; }
+    [[nodiscard]] const Wake& front() const { return ring_[head_ & mask_]; }
+    /// front().cycle, or kNoWake when the lane is empty.
+    [[nodiscard]] std::uint64_t front_cycle() const { return front_cycle_; }
+    /// True when a wake due at `at` keeps the lane in due-cycle order.
+    [[nodiscard]] bool accepts(std::uint64_t at) const {
+      return at >= back_ || empty();
+    }
+    /// Appends `w` (accepts(w.cycle) must hold), moving it ahead of any
+    /// wakes due the same cycle with a larger stream id.
+    void push(Wake w) {
+      if (tail_ - head_ == ring_.size()) grow();
+      std::size_t i = tail_++;
+      for (; i != head_; --i) {
+        const Wake& prev = ring_[(i - 1) & mask_];
+        if (prev.cycle != w.cycle || prev.stream < w.stream) break;
+        ring_[i & mask_] = prev;
+      }
+      ring_[i & mask_] = w;
+      back_ = w.cycle;
+      // Only a push into an empty lane changes the head's cycle.
+      front_cycle_ = std::min(front_cycle_, w.cycle);
+    }
+    void pop() {
+      ++head_;
+      front_cycle_ = head_ != tail_ ? front().cycle : kNoWake;
+    }
+
+   private:
+    void grow() {
+      std::vector<Wake> bigger(std::max<std::size_t>(64, ring_.size() * 2));
+      for (std::size_t i = 0; head_ + i != tail_; ++i)
+        bigger[i] = ring_[(head_ + i) & mask_];
+      tail_ -= head_;
+      head_ = 0;
+      ring_ = std::move(bigger);
+      mask_ = ring_.size() - 1;
+    }
+
+    std::vector<Wake> ring_;  ///< power-of-two size
+    std::size_t mask_ = 0;
+    std::size_t head_ = 0;  ///< indices wrap modulo ring size; head <= tail
+    std::size_t tail_ = 0;
+    std::uint64_t back_ = 0;  ///< due cycle of the last wake pushed
+    std::uint64_t front_cycle_ = kNoWake;
   };
 
   struct PendingSpawn {
@@ -286,11 +342,31 @@ class Machine {
   std::uint64_t network_service(std::uint64_t now, Address addr);
   void complete_memory_op(StreamId sid, std::uint64_t now, Address addr);
   void process_handoffs(std::uint64_t now);
-  /// Parks `sid` (census +1 under `why`) and queues its wake.
+  /// Parks `sid` (census +1 under `why`) and queues its wake: on the fast
+  /// path in `why`'s lane when that keeps the lane ordered, else on the
+  /// timing wheel.
   void push_wake(std::uint64_t at, StreamId sid, StallReason why);
+  /// Fast path: readies every wake due at or before `now` in (cycle, stream
+  /// id) order, the reference heap's pop order, by merging the lanes (and,
+  /// when `from_wheel`, the timing wheel's due entries).
+  void deliver_due(std::uint64_t now, bool from_wheel);
+  /// Fast path: the earliest lane head's due cycle, or kNoWake.
+  [[nodiscard]] std::uint64_t lane_due() const {
+    std::uint64_t due = kNoWake;
+    for (const WakeLane& lane : lanes_) due = std::min(due, lane.front_cycle());
+    return due;
+  }
+  /// Fast path: the earliest pending wake over lanes and wheel, or
+  /// kNoWake.
+  [[nodiscard]] std::uint64_t next_wake() const {
+    return std::min(wheel_.next_due(), lane_due());
+  }
   /// Parks `sid` with no wake: it waits in memory on a full/empty bit.
   void park_sync(StreamId sid);
   void make_stream_ready(StreamId sid);
+  /// make_stream_ready for a stream known to sit on `proc`, parked under
+  /// `why` (a lane delivery: no Stream lookup).
+  void make_stream_ready(StreamId sid, int proc, StallReason why);
   /// Attributes `n` idle cycles of processor `proc` to one stall category:
   /// no_stream when the processor has no live streams, otherwise the
   /// highest-priority reason in its parked-stream census
@@ -310,8 +386,8 @@ class Machine {
   /// machine-wide (see docs/PERFORMANCE.md for the legality argument).
   /// Returns the cycle the generic loop resumes at.
   std::uint64_t run_solo(std::uint64_t now, std::uint64_t max_cycles);
-  /// The fast simulation loop: timing-wheel wake queue, window batching
-  /// and solo fast-forwarding. Returns the cycle the run ended at.
+  /// The fast simulation loop: wake lanes over a timing wheel, window
+  /// batching and solo fast-forwarding. Returns the cycle the run ended at.
   std::uint64_t run_fast_loop();
   /// The reference simulation loop (slow_ only): binary-heap wake queue,
   /// one cycle at a time. Returns the cycle the run ended at.
@@ -368,9 +444,16 @@ class Machine {
   SyncMemory memory_;
   std::vector<Processor> procs_;
   std::vector<Stream> streams_;
-  /// Wake queue, fast path: timing wheel sized for the bounded wake
-  /// offsets (spacing 21, memory latency ~70 plus queueing).
+  /// Wake queue, fast path: the wake lanes (indexed by StallReason) carry
+  /// every wake that arrives in due-cycle order for its reason; the timing
+  /// wheel takes the rest.
+  std::array<WakeLane, kNumWakeLanes> lanes_;
   sim::TimerWheel<StreamId> wheel_;
+  std::vector<Wake> due_;  ///< deliver_due()'s scratch for wheel entries
+  /// Completion cycles of each stream's outstanding memory ops, oldest
+  /// first (lookahead > 0 only, else empty; indexed by StreamId; at most
+  /// lookahead + 1 entries per stream).
+  std::vector<std::vector<std::uint64_t>> outstanding_;
   /// Wake queue, reference path (slow_ == true only).
   std::priority_queue<Wake, std::vector<Wake>, std::greater<>> heap_;
   std::queue<PendingSpawn> pending_;
@@ -380,10 +463,9 @@ class Machine {
   LoadTracker load_tracker_;
   int free_slots_ = 0;  ///< machine-wide free hardware stream slots
   std::uint64_t ready_count_ = 0;  ///< streams in ready queues, fast path
-  /// Earliest wake pushed during the current issue cycle (fast path);
-  /// run()'s window batching uses it to end a drain-free window early when
-  /// a spawn schedules a wake inside it.
-  std::uint64_t pushed_min_ = ~0ull;
+  /// Earliest wake pushed onto the timing wheel during the current issue
+  /// window (fast path); the window ends early when one lands inside it.
+  std::uint64_t pushed_min_ = kNoWake;
 
   std::vector<ProcAcct> acct_;  // sized num_processors
   std::vector<RegionTally> region_tallies_;

@@ -67,8 +67,10 @@ class TimerWheel {
     overflow_.push(Entry{at, payload});
   }
 
-  /// Earliest pending due cycle, or kNone when empty.
+  /// Earliest pending due cycle, or kNone when empty (O(1) then: no
+  /// bitmap scan).
   [[nodiscard]] std::uint64_t next_due() const {
+    if (size_ == 0) return kNone;
     std::uint64_t best = kNone;
     for (const Entry& e : late_) best = std::min(best, e.at);
     const std::uint64_t w = next_wheel_cycle();

@@ -1,8 +1,12 @@
-// Randomized structural tests of the MTA simulator: ring pipelines of
-// randomly sized streams (deadlock-free by construction) must always
-// terminate, deterministically, with conserved instruction counts —
-// across random configurations.
+// Randomized tests of the MTA simulator: ring pipelines of randomly sized
+// streams (deadlock-free by construction) must always terminate,
+// deterministically, with conserved instruction counts — across random
+// configurations — and the fast path must match the slow reference loop
+// exactly on every seed.
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "mta/machine.hpp"
@@ -14,13 +18,20 @@ struct FuzzResult {
   std::uint64_t cycles;
   std::uint64_t instructions;
   std::uint64_t memory_ops;
+  std::uint64_t spawns;
   std::uint64_t completed;
+  std::vector<obs::IssueSlotAccount> processor_slots;
 };
 
 /// Builds a ring pipeline: stream i sync-loads cell i-1, does random local
 /// work, then sync-stores cell i. Cell N-1 is pre-filled, so the chain
 /// always makes progress; every cell sees exactly one store and one load.
-FuzzResult run_ring(std::uint64_t seed) {
+/// With `spawns`, segments also spawn short compute/load children, mixing
+/// hardware and software creation under random (possibly zero) costs;
+/// children never synchronize, so the ring stays deadlock-free even when
+/// they are virtualized. `slow` selects the reference simulation loop.
+FuzzResult run_ring(std::uint64_t seed, bool slow = false,
+                    bool spawns = false) {
   Rng rng(seed);
   MtaConfig cfg;
   cfg.num_processors = 1 + static_cast<int>(rng.next_below(3));
@@ -35,11 +46,17 @@ FuzzResult run_ring(std::uint64_t seed) {
     cfg.hash_addresses = rng.chance(0.5);
   }
   cfg.memory_words = 1u << 12;
+  if (spawns) {
+    cfg.hw_spawn_cycles = static_cast<int>(rng.next_below(6));
+    cfg.sw_spawn_cycles = static_cast<int>(rng.next_below(101));
+  }
+  cfg.slow_reference = slow;
   Machine machine(cfg);
 
   const int n = 2 + static_cast<int>(rng.next_below(40));
   ProgramPool pool;
   std::uint64_t expected_instr = 0;
+  std::uint64_t children = 0;
   for (int i = 0; i < n; ++i) {
     VectorProgram* p = pool.make_vector();
     p->sync_load(static_cast<Address>((i + n - 1) % n));
@@ -51,6 +68,16 @@ FuzzResult run_ring(std::uint64_t seed) {
       p->compute(alu);
       p->load(100 + rng.next_below(1000), mem);
       expected_instr += alu + mem;
+      if (spawns && rng.chance(0.5)) {
+        VectorProgram* child = pool.make_vector();
+        const std::uint64_t child_alu = 1 + rng.next_below(30);
+        const std::uint64_t child_mem = rng.next_below(4);
+        child->compute(child_alu);
+        child->load(2000 + rng.next_below(1000), child_mem);
+        p->spawn(child, rng.chance(0.5));
+        expected_instr += 1 + child_alu + child_mem + 1;  // spawn + quit
+        ++children;
+      }
     }
     p->sync_store(static_cast<Address>(i));
     ++expected_instr;
@@ -59,12 +86,27 @@ FuzzResult run_ring(std::uint64_t seed) {
   expected_instr += static_cast<std::uint64_t>(n);  // one Quit per stream
   machine.memory().store_full(static_cast<Address>(n - 1), 1);
 
-  const auto result = machine.run(/*max_cycles=*/1ull << 34);
-  FuzzResult out{result.cycles, result.instructions_issued, result.memory_ops,
-                 result.streams_completed};
+  auto result = machine.run(/*max_cycles=*/1ull << 34);
   EXPECT_EQ(result.instructions_issued, expected_instr) << "seed " << seed;
-  EXPECT_EQ(result.streams_completed, static_cast<std::uint64_t>(n));
-  return out;
+  EXPECT_EQ(result.streams_completed,
+            static_cast<std::uint64_t>(n) + children);
+  return FuzzResult{result.cycles,       result.instructions_issued,
+                    result.memory_ops,   result.spawns,
+                    result.streams_completed,
+                    std::move(result.processor_slots)};
+}
+
+/// The fast path must reproduce the reference loop on every deterministic
+/// result: totals and the per-processor issue-slot account.
+void expect_matches_reference(std::uint64_t seed, bool spawns) {
+  const FuzzResult f = run_ring(seed, /*slow=*/false, spawns);
+  const FuzzResult s = run_ring(seed, /*slow=*/true, spawns);
+  EXPECT_EQ(f.cycles, s.cycles) << "seed " << seed;
+  EXPECT_EQ(f.instructions, s.instructions) << "seed " << seed;
+  EXPECT_EQ(f.memory_ops, s.memory_ops) << "seed " << seed;
+  EXPECT_EQ(f.spawns, s.spawns) << "seed " << seed;
+  EXPECT_EQ(f.completed, s.completed) << "seed " << seed;
+  EXPECT_EQ(f.processor_slots, s.processor_slots) << "seed " << seed;
 }
 
 class MtaFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -79,8 +121,24 @@ TEST_P(MtaFuzzTest, RingPipelineTerminatesDeterministically) {
   EXPECT_GT(a.cycles, 0u);
 }
 
+TEST_P(MtaFuzzTest, RingPipelineMatchesSlowReference) {
+  expect_matches_reference(GetParam(), /*spawns=*/false);
+}
+
+TEST_P(MtaFuzzTest, RingWithSpawnsMatchesSlowReference) {
+  expect_matches_reference(GetParam(), /*spawns=*/true);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MtaFuzzTest,
                          ::testing::Range<std::uint64_t>(1, 41));
+
+TEST(MtaFuzz, ManyMoreSeedsMatchSlowReference) {
+  for (std::uint64_t seed = 41; seed < 1041; ++seed) {
+    expect_matches_reference(seed, /*spawns=*/false);
+    expect_matches_reference(seed, /*spawns=*/true);
+    if (::testing::Test::HasFailure()) break;
+  }
+}
 
 TEST(MtaFuzz, RingEndsWithEveryCellConsumedButLast) {
   // Deterministic small instance to pin the final memory state: each cell

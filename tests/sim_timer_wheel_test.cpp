@@ -108,6 +108,25 @@ TEST(TimerWheel, WrapsAroundManyTimes) {
   }
 }
 
+TEST(TimerWheel, EmptyAfterDrainAcrossWrapThenReusable) {
+  Wheel w(6);
+  // Entries straddle the ring's end (residues 60..63 and 0..3), so the
+  // drain that empties the wheel crosses the wrap.
+  for (std::uint32_t i = 0; i < 8; ++i) w.push(60 + i, i);
+  EXPECT_EQ(drain(w, 67).size(), 8u);
+  EXPECT_TRUE(w.empty());
+  EXPECT_EQ(w.next_due(), Wheel::kNone);
+  EXPECT_TRUE(drain(w, 200).empty());
+  EXPECT_EQ(w.current(), 201u);
+  EXPECT_EQ(w.next_due(), Wheel::kNone);
+  // The emptied wheel schedules and drains normally again, one wrap on.
+  w.push(250, 7);
+  w.push(203, 9);
+  EXPECT_EQ(w.next_due(), 203u);
+  EXPECT_EQ(drain(w, 250), (std::vector<Due>{{203, 9}, {250, 7}}));
+  EXPECT_EQ(w.next_due(), Wheel::kNone);
+}
+
 // The wheel must reproduce a (cycle, payload) min-heap's pop order exactly:
 // the MTA machine's arbitration depends on it.
 TEST(TimerWheel, MatchesReferenceHeapOnRandomSchedules) {
