@@ -1,6 +1,6 @@
-// google-benchmark microbenchmarks for the substrate primitives: the DES
-// kernel, the fluid solver, the MTA stream simulator's cycle throughput,
-// the host threading primitives, and the real benchmark kernels.
+// google-benchmark microbenchmarks for the substrate primitives: the fluid
+// solver, the MTA stream simulator's cycle throughput, the host threading
+// primitives, and the real benchmark kernels.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
@@ -13,7 +13,6 @@
 #include "mta/machine.hpp"
 #include "mta/runtime.hpp"
 #include "platforms/platform.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/fluid.hpp"
 #include "sthreads/barrier.hpp"
 #include "sthreads/parallel_for.hpp"
@@ -23,20 +22,6 @@
 using namespace tc3i;
 
 namespace {
-
-void BM_EventQueueScheduleRun(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    sim::EventQueue q;
-    std::uint64_t count = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      q.schedule_at(static_cast<double>(i % 97), [&count] { ++count; });
-    q.run();
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
-}
-BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(65536);
 
 void BM_WaterFill(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -277,17 +277,17 @@ echo "== ASan smoke (obs_flight_test + sim and MTA tests under -fsanitize=addres
 # cycle clean under AddressSanitizer where the toolchain supports it. The
 # sim tests write counters under short-lived scoped registries, so a
 # counter reference kept past its registry shows up here as a
-# use-after-free. The MTA core's wake lanes, ready queues and timing wheel
-# are masked power-of-two rings, where an overrun would otherwise be
-# silent; the golden and fuzz suites drive them against the reference.
+# use-after-free. The MTA core's wake lanes and ready queues are masked
+# power-of-two rings, where an overrun would otherwise be silent; the
+# golden and fuzz suites drive them against the reference.
 if printf 'int main(){return 0;}' |
     c++ -fsanitize=address -x c++ - -o "$SMOKE_DIR/asan_probe" 2>/dev/null &&
     "$SMOKE_DIR/asan_probe" 2>/dev/null; then
   ASAN_DIR="build-asan"
   cmake -B "$ASAN_DIR" -S . -DTC3I_SANITIZE=address -DTC3I_WERROR=ON \
       >/dev/null
-  for T in obs_flight_test sim_fluid_test sim_event_queue_test \
-      sim_timer_wheel_test mta_golden_test mta_fuzz_test; do
+  for T in obs_flight_test sim_fluid_test sim_trace_test mta_golden_test \
+      mta_fuzz_test; do
     cmake --build "$ASAN_DIR" --target "$T" -j >/dev/null
     "$ASAN_DIR"/tests/"$T" >/dev/null ||
       { echo "FAIL: $T failed under ASan"; exit 1; }
@@ -298,8 +298,8 @@ else
 fi
 
 echo "== UBSan smoke (MTA golden + fuzz + sim tests under -fsanitize=undefined) =="
-# The simulator's fixed-point network service, wake lanes, timing wheel
-# and slot accounting do shift and wrap-prone unsigned arithmetic; run the
+# The simulator's fixed-point network service, wake lanes and slot
+# accounting do shift and wrap-prone unsigned arithmetic; run the
 # golden and differential fuzz suites (fast path vs slow reference) and
 # the sim tests with every undefined-behavior report fatal.
 if printf 'int main(){return 0;}' |
@@ -309,8 +309,7 @@ if printf 'int main(){return 0;}' |
   UBSAN_DIR="build-ubsan"
   cmake -B "$UBSAN_DIR" -S . -DTC3I_SANITIZE=undefined -DTC3I_WERROR=ON \
       >/dev/null
-  for T in mta_golden_test mta_fuzz_test sim_fluid_test \
-      sim_event_queue_test; do
+  for T in mta_golden_test mta_fuzz_test sim_fluid_test sim_trace_test; do
     cmake --build "$UBSAN_DIR" --target "$T" -j >/dev/null
     "$UBSAN_DIR"/tests/"$T" >/dev/null ||
       { echo "FAIL: $T failed under UBSan"; exit 1; }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
+#include <cstdio>
 #include <sstream>
 
 #include "core/contracts.hpp"
@@ -14,12 +14,6 @@
 namespace tc3i::mta {
 
 namespace {
-
-bool slow_sim_env() {
-  const char* env = std::getenv("TC3I_SLOW_SIM");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}
 
 std::uint64_t steady_ns() {
   return static_cast<std::uint64_t>(
@@ -53,7 +47,7 @@ Machine::Machine(MtaConfig config)
   const std::string err = config_.validate();
   if (!err.empty())
     contract_failure("MtaConfig", err.c_str(), __FILE__, __LINE__);
-  slow_ = config_.slow_reference || slow_sim_env();
+  slow_ = config_.slow_reference;
   procs_.reserve(static_cast<std::size_t>(config_.num_processors));
   for (int p = 0; p < config_.num_processors; ++p)
     procs_.emplace_back(p, config_.streams_per_processor);
@@ -145,16 +139,18 @@ void Machine::push_wake(std::uint64_t at, StreamId sid, StallReason why) {
     lane.push(Wake{at, sid, s.proc});
   } else {
     if (at < pushed_min_) pushed_min_ = at;
-    wheel_.push(at, sid);
+    heap_.push(Wake{at, sid});
   }
 }
 
-void Machine::deliver_due(std::uint64_t now, bool from_wheel) {
+void Machine::deliver_due(std::uint64_t now, bool from_heap) {
   due_.clear();
-  if (from_wheel)
-    wheel_.drain_due(now, [this](std::uint64_t at, StreamId sid) {
-      due_.push_back(Wake{at, sid});
-    });
+  if (from_heap) {
+    while (heap_due() <= now) {
+      due_.push_back(heap_.top());
+      heap_.pop();
+    }
+  }
   if (due_.empty()) {
     if (lane_due() > now) return;
     // Each lane is sorted, so its due wakes are a prefix. Usually only one
@@ -585,7 +581,7 @@ std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
   // has been delivered, so no other stream can issue before the next
   // pending wake. Within that window this stream's instructions can be
   // retired without bouncing each one through the wake queue — and entire
-  // Compute runs collapse to arithmetic. Neither the lanes nor the wheel
+  // Compute runs collapse to arithmetic. Neither the lanes nor the heap
   // are touched while in here (memory ops complete inline), so `next_due`
   // is loop-invariant.
   Processor* proc = nullptr;
@@ -799,7 +795,7 @@ std::uint64_t Machine::run_slow_loop() {
   const bool tracing = obs_.sink != nullptr;
   const std::uint64_t bucket = config_.timeline_bucket_cycles;
   {
-    // Reference loop: the pre-timing-wheel simulator, kept verbatim for
+    // Reference loop: the original simulator, kept verbatim for
     // golden-equivalence testing. Binary-heap wake queue, every instruction
     // re-enters issue(), cycles advance one at a time between wakes.
     while (live_streams_ > 0 || !pending_.empty()) {
@@ -876,18 +872,17 @@ std::uint64_t Machine::run_fast_loop() {
     if (now >= max_cycles) runaway_abort(now);
     if (tracing) emit_trace_buckets(now, /*final=*/false);
 
-    deliver_due(now, /*from_wheel=*/true);
+    deliver_due(now, /*from_heap=*/true);
     if (solo_pays()) {
       now = run_solo(now, max_cycles);
       continue;
     }
 
     // Window batching: lane heads are delivered inline every cycle, so the
-    // window only has to end where the timing wheel has work: its next due
-    // cycle, pulled in whenever an issued instruction pushes an earlier
-    // wake onto it. (Tracing samples per cycle, so it takes the one-cycle
-    // window.)
-    std::uint64_t limit = tracing ? now + 1 : wheel_.next_due();
+    // window only has to end where the heap has work: its next due cycle,
+    // pulled in whenever an issued instruction pushes an earlier wake onto
+    // it. (Tracing samples per cycle, so it takes the one-cycle window.)
+    std::uint64_t limit = tracing ? now + 1 : heap_due();
     pushed_min_ = kNoWake;
     bool any_ready = false;
     while (true) {
@@ -913,14 +908,14 @@ std::uint64_t Machine::run_fast_loop() {
       }
       if (!any_ready) break;
       ++now;
-      // A wheel wake due at d must be delivered at the start of cycle
+      // A heap wake due at d must be delivered at the start of cycle
       // max(d, now); end the window there if that is sooner. The
       // live-stream check mirrors the outer loop: when the last stream
       // quits mid-window the machine is dead, and scanning another cycle
       // would attribute a phantom idle slot past the end of the run.
       limit = std::min(limit, std::max(pushed_min_, now));
       if (now >= limit || (live_streams_ == 0 && pending_.empty())) break;
-      deliver_due(now, /*from_wheel=*/false);
+      deliver_due(now, /*from_heap=*/false);
       if (solo_pays()) break;
     }
 

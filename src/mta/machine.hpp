@@ -37,7 +37,6 @@
 #include "obs/critpath.hpp"
 #include "obs/run_record.hpp"
 #include "obs/timeline.hpp"
-#include "sim/timer_wheel.hpp"
 
 namespace tc3i::obs {
 class TraceSink;
@@ -80,12 +79,10 @@ struct MtaConfig {
   /// this many cycles (MtaRunResult::utilization_timeline) — used to
   /// visualize latency masking and barrier valleys.
   std::uint64_t timeline_bucket_cycles = 0;
-  /// Runs the pre-timing-wheel reference simulation loop (binary-heap wake
-  /// queue, strictly one cycle at a time, no compute-run fast-forwarding).
-  /// Slower but kept as the golden reference: the fast path must produce
-  /// bit-identical cycles/instructions/memory_ops (see
-  /// tests/mta_golden_test). Also enabled by the TC3I_SLOW_SIM environment
-  /// variable (any value except "0").
+  /// Runs the reference simulation loop (binary-heap wake queue, strictly
+  /// one cycle at a time, no compute-run fast-forwarding). Slower but kept
+  /// as the golden reference: the fast path must produce bit-identical
+  /// cycles/instructions/memory_ops (see tests/mta_golden_test).
   bool slow_reference = false;
 
   [[nodiscard]] std::string validate() const;
@@ -146,7 +143,8 @@ class Machine {
   /// Wake lanes, one per stall reason that schedules a wake (kSync streams
   /// wait in memory with none), indexed by the reason's value.
   static constexpr std::size_t kNumWakeLanes = 3;
-  static constexpr std::uint64_t kNoWake = sim::TimerWheel<StreamId>::kNone;
+  /// Due cycle reported for an empty wake queue.
+  static constexpr std::uint64_t kNoWake = ~0ull;
 
   struct Stream {
     StreamProgram* program = nullptr;
@@ -187,8 +185,8 @@ class Machine {
 
   /// Fast path: a FIFO ring of wakes in ascending (cycle, stream id)
   /// order, so the due ones are always a prefix (see docs/PERFORMANCE.md,
-  /// "Wake lanes over a timing wheel"). Grows by doubling, so its capacity
-  /// tracks the most streams ever parked in it at once.
+  /// "Wake lanes over the reference heap"). Grows by doubling, so its
+  /// capacity tracks the most streams ever parked in it at once.
   class WakeLane {
    public:
     [[nodiscard]] bool empty() const { return head_ == tail_; }
@@ -343,23 +341,26 @@ class Machine {
   void complete_memory_op(StreamId sid, std::uint64_t now, Address addr);
   void process_handoffs(std::uint64_t now);
   /// Parks `sid` (census +1 under `why`) and queues its wake: on the fast
-  /// path in `why`'s lane when that keeps the lane ordered, else on the
-  /// timing wheel.
+  /// path in `why`'s lane when that keeps the lane ordered, else (and
+  /// always on the reference path) on the heap.
   void push_wake(std::uint64_t at, StreamId sid, StallReason why);
   /// Fast path: readies every wake due at or before `now` in (cycle, stream
   /// id) order, the reference heap's pop order, by merging the lanes (and,
-  /// when `from_wheel`, the timing wheel's due entries).
-  void deliver_due(std::uint64_t now, bool from_wheel);
+  /// when `from_heap`, the heap's due prefix).
+  void deliver_due(std::uint64_t now, bool from_heap);
+  /// The heap's earliest due cycle, or kNoWake.
+  [[nodiscard]] std::uint64_t heap_due() const {
+    return heap_.empty() ? kNoWake : heap_.top().cycle;
+  }
   /// Fast path: the earliest lane head's due cycle, or kNoWake.
   [[nodiscard]] std::uint64_t lane_due() const {
     std::uint64_t due = kNoWake;
     for (const WakeLane& lane : lanes_) due = std::min(due, lane.front_cycle());
     return due;
   }
-  /// Fast path: the earliest pending wake over lanes and wheel, or
-  /// kNoWake.
+  /// Fast path: the earliest pending wake over lanes and heap, or kNoWake.
   [[nodiscard]] std::uint64_t next_wake() const {
-    return std::min(wheel_.next_due(), lane_due());
+    return std::min(heap_due(), lane_due());
   }
   /// Parks `sid` with no wake: it waits in memory on a full/empty bit.
   void park_sync(StreamId sid);
@@ -386,8 +387,8 @@ class Machine {
   /// machine-wide (see docs/PERFORMANCE.md for the legality argument).
   /// Returns the cycle the generic loop resumes at.
   std::uint64_t run_solo(std::uint64_t now, std::uint64_t max_cycles);
-  /// The fast simulation loop: wake lanes over a timing wheel, window
-  /// batching and solo fast-forwarding. Returns the cycle the run ended at.
+  /// The fast simulation loop: wake lanes over the heap, window batching
+  /// and solo fast-forwarding. Returns the cycle the run ended at.
   std::uint64_t run_fast_loop();
   /// The reference simulation loop (slow_ only): binary-heap wake queue,
   /// one cycle at a time. Returns the cycle the run ended at.
@@ -440,21 +441,21 @@ class Machine {
   static constexpr std::uint64_t kFpOne = 1ull << kFpBits;
 
   MtaConfig config_;
-  bool slow_ = false;  ///< config_.slow_reference or TC3I_SLOW_SIM
+  bool slow_ = false;  ///< config_.slow_reference
   SyncMemory memory_;
   std::vector<Processor> procs_;
   std::vector<Stream> streams_;
   /// Wake queue, fast path: the wake lanes (indexed by StallReason) carry
-  /// every wake that arrives in due-cycle order for its reason; the timing
-  /// wheel takes the rest.
+  /// every wake that arrives in due-cycle order for its reason; heap_ takes
+  /// the rest.
   std::array<WakeLane, kNumWakeLanes> lanes_;
-  sim::TimerWheel<StreamId> wheel_;
-  std::vector<Wake> due_;  ///< deliver_due()'s scratch for wheel entries
+  std::vector<Wake> due_;  ///< deliver_due()'s scratch for a merged drain
   /// Completion cycles of each stream's outstanding memory ops, oldest
   /// first (lookahead > 0 only, else empty; indexed by StreamId; at most
   /// lookahead + 1 entries per stream).
   std::vector<std::vector<std::uint64_t>> outstanding_;
-  /// Wake queue, reference path (slow_ == true only).
+  /// Wake queue of the reference path (every wake) and the fast path's
+  /// overflow (wakes that would break their lane's order).
   std::priority_queue<Wake, std::vector<Wake>, std::greater<>> heap_;
   std::queue<PendingSpawn> pending_;
   std::uint64_t network_free_fp_ = 0;
@@ -463,8 +464,8 @@ class Machine {
   LoadTracker load_tracker_;
   int free_slots_ = 0;  ///< machine-wide free hardware stream slots
   std::uint64_t ready_count_ = 0;  ///< streams in ready queues, fast path
-  /// Earliest wake pushed onto the timing wheel during the current issue
-  /// window (fast path); the window ends early when one lands inside it.
+  /// Earliest wake pushed onto the heap during the current issue window
+  /// (fast path); the window ends early when one lands inside it.
   std::uint64_t pushed_min_ = kNoWake;
 
   std::vector<ProcAcct> acct_;  // sized num_processors

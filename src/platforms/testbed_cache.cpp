@@ -23,7 +23,7 @@ namespace threat = c3i::threat;
 namespace terrain = c3i::terrain;
 
 // Bump when the serialized layout or the set of cached fields changes.
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr char kMagic[8] = {'T', 'C', '3', 'I', 'T', 'B', 'C', '\0'};
 
 // --- fingerprint (FNV-1a over every scenario field) --------------------------
@@ -86,6 +86,26 @@ std::uint64_t fingerprint(const TestbedScenarios& s) {
 
 // --- flat binary serialization ----------------------------------------------
 
+/// Loads the little-endian word at `p` (the file's byte order).
+std::uint64_t load_u64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
+/// FNV-1a over 8-byte words of `bytes` (a multiple of 8 long): one multiply
+/// per word keeps a warm load of the multi-megabyte file cheap, and since
+/// each step is a bijection of the running hash, any change confined to
+/// one word always changes the result.
+std::uint64_t checksum(const std::uint8_t* bytes, std::size_t n) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t i = 0; i + 8 <= n; i += 8) {
+    h ^= load_u64(bytes + i);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 struct Writer {
   std::vector<std::uint8_t> bytes;
   void u64(std::uint64_t v) {
@@ -107,8 +127,7 @@ struct Reader {
       ok = false;
       return 0;
     }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    const std::uint64_t v = load_u64(p);
     p += 8;
     return v;
   }
@@ -200,10 +219,15 @@ bool try_load(const fs::path& path, std::uint64_t fp, TestbedProfiles& out) {
     ok = std::fread(bytes.data(), 1, bytes.size(), f) == bytes.size();
   }
   std::fclose(f);
-  if (!ok || bytes.size() < sizeof(kMagic)) return false;
+  // Every field is an 8-byte word and the last one checksums all before it.
+  if (!ok || bytes.size() < sizeof(kMagic) + 8 || bytes.size() % 8 != 0)
+    return false;
   if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) return false;
+  const std::size_t body = bytes.size() - 8;
+  if (checksum(bytes.data(), body) != load_u64(bytes.data() + body))
+    return false;
 
-  Reader r{bytes.data() + sizeof(kMagic), bytes.data() + bytes.size()};
+  Reader r{bytes.data() + sizeof(kMagic), bytes.data() + body};
   if (r.u64() != kFormatVersion || r.u64() != fp || !r.ok) return false;
   const std::uint64_t num_threat = r.u64();
   if (!r.ok || num_threat > 64) return false;
@@ -240,6 +264,7 @@ void try_save(const fs::path& path, std::uint64_t fp,
   for (const auto& p : profiles.terrain) write_terrain_profile(w, p);
   write_pair_profile(w, profiles.threat_scaled);
   write_terrain_profile(w, profiles.terrain_scaled);
+  w.u64(checksum(w.bytes.data(), w.bytes.size()));
 
   // Write to a temp name then rename, so a concurrent reader never sees a
   // partial file (rename within one directory is atomic on POSIX).

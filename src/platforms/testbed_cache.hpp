@@ -7,8 +7,9 @@
 // load_or_build_testbed() persists the profiles in a small binary file
 // keyed by a fingerprint of the scenario contents (plus a format version),
 // so repeat runs assemble the testbed in milliseconds. A stale or corrupt
-// cache file — fingerprint mismatch, short read, wrong magic — is ignored
-// and rewritten; the cache can never change results, only skip recompute.
+// cache file — fingerprint mismatch, short read, wrong magic, payload
+// checksum mismatch — is ignored and rewritten; the cache can never change
+// results, only skip recompute.
 //
 // Cache location: $TC3I_TESTBED_CACHE names the directory. Unset, it
 // defaults to the system temp directory; set to "0" or "off", caching is

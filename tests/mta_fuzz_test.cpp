@@ -23,15 +23,27 @@ struct FuzzResult {
   std::vector<obs::IssueSlotAccount> processor_slots;
 };
 
+/// What a ring program mixes in beyond its sync/compute/load pipeline.
+enum class Mode {
+  kPlain,
+  /// Children spawned by hardware and software under random costs.
+  kSpawns,
+  /// kSpawns with wakes due thousands of cycles ahead and out of order:
+  /// memory latency and software spawn cost in [1000, 5000], free hardware
+  /// spawns, unhashed banks.
+  kFarWakes,
+};
+
 /// Builds a ring pipeline: stream i sync-loads cell i-1, does random local
 /// work, then sync-stores cell i. Cell N-1 is pre-filled, so the chain
 /// always makes progress; every cell sees exactly one store and one load.
-/// With `spawns`, segments also spawn short compute/load children, mixing
+/// With spawns, segments also spawn short compute/load children, mixing
 /// hardware and software creation under random (possibly zero) costs;
 /// children never synchronize, so the ring stays deadlock-free even when
 /// they are virtualized. `slow` selects the reference simulation loop.
 FuzzResult run_ring(std::uint64_t seed, bool slow = false,
-                    bool spawns = false) {
+                    Mode mode = Mode::kPlain) {
+  const bool spawns = mode != Mode::kPlain;
   Rng rng(seed);
   MtaConfig cfg;
   cfg.num_processors = 1 + static_cast<int>(rng.next_below(3));
@@ -49,6 +61,16 @@ FuzzResult run_ring(std::uint64_t seed, bool slow = false,
   if (spawns) {
     cfg.hw_spawn_cycles = static_cast<int>(rng.next_below(6));
     cfg.sw_spawn_cycles = static_cast<int>(rng.next_below(101));
+  }
+  if (mode == Mode::kFarWakes) {
+    // A software spawn's wake lands far behind a later free hardware
+    // spawn's, and a busy bank's memory wake far behind the next op's on
+    // an idle bank: both leave their lane's order for the heap.
+    cfg.memory_latency_cycles = 1000 + static_cast<int>(rng.next_below(4001));
+    cfg.sw_spawn_cycles = 1000 + static_cast<int>(rng.next_below(4001));
+    cfg.hw_spawn_cycles = 0;
+    cfg.memory_banks = 2 << rng.next_below(6);
+    cfg.hash_addresses = false;
   }
   cfg.slow_reference = slow;
   Machine machine(cfg);
@@ -98,9 +120,9 @@ FuzzResult run_ring(std::uint64_t seed, bool slow = false,
 
 /// The fast path must reproduce the reference loop on every deterministic
 /// result: totals and the per-processor issue-slot account.
-void expect_matches_reference(std::uint64_t seed, bool spawns) {
-  const FuzzResult f = run_ring(seed, /*slow=*/false, spawns);
-  const FuzzResult s = run_ring(seed, /*slow=*/true, spawns);
+void expect_matches_reference(std::uint64_t seed, Mode mode) {
+  const FuzzResult f = run_ring(seed, /*slow=*/false, mode);
+  const FuzzResult s = run_ring(seed, /*slow=*/true, mode);
   EXPECT_EQ(f.cycles, s.cycles) << "seed " << seed;
   EXPECT_EQ(f.instructions, s.instructions) << "seed " << seed;
   EXPECT_EQ(f.memory_ops, s.memory_ops) << "seed " << seed;
@@ -122,11 +144,15 @@ TEST_P(MtaFuzzTest, RingPipelineTerminatesDeterministically) {
 }
 
 TEST_P(MtaFuzzTest, RingPipelineMatchesSlowReference) {
-  expect_matches_reference(GetParam(), /*spawns=*/false);
+  expect_matches_reference(GetParam(), Mode::kPlain);
 }
 
 TEST_P(MtaFuzzTest, RingWithSpawnsMatchesSlowReference) {
-  expect_matches_reference(GetParam(), /*spawns=*/true);
+  expect_matches_reference(GetParam(), Mode::kSpawns);
+}
+
+TEST_P(MtaFuzzTest, RingWithFarWakesMatchesSlowReference) {
+  expect_matches_reference(GetParam(), Mode::kFarWakes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MtaFuzzTest,
@@ -134,8 +160,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MtaFuzzTest,
 
 TEST(MtaFuzz, ManyMoreSeedsMatchSlowReference) {
   for (std::uint64_t seed = 41; seed < 1041; ++seed) {
-    expect_matches_reference(seed, /*spawns=*/false);
-    expect_matches_reference(seed, /*spawns=*/true);
+    expect_matches_reference(seed, Mode::kPlain);
+    expect_matches_reference(seed, Mode::kSpawns);
     if (::testing::Test::HasFailure()) break;
   }
 }

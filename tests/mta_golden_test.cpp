@@ -1,8 +1,8 @@
-// Golden cycle-exactness suite: the fast simulation core (timing-wheel
-// wake scheduler, compute-run fast-forwarding, window batching, fixed-point
-// network service) must reproduce the pre-optimization reference loop
-// (MtaConfig::slow_reference, the binary-heap one-cycle-at-a-time
-// simulation) bit-for-bit on every counter the paper's results depend on.
+// Golden cycle-exactness suite: the fast simulation core (wake lanes over
+// the reference heap, compute-run fast-forwarding, window batching,
+// fixed-point network service) must reproduce the pre-optimization
+// reference loop (MtaConfig::slow_reference, the binary-heap
+// one-cycle-at-a-time simulation) bit-for-bit on every counter the paper's results depend on.
 //
 // Three layers of defense:
 //   1. a synthetic matrix over lookahead x memory_banks x processors with a
@@ -160,7 +160,7 @@ TEST(MtaGolden, SyntheticMatrixUnhashedBanks) {
 
 /// Sync-heavy ring: each stream blocks on its left neighbour's cell and
 /// signals its right neighbour — nothing but full/empty handoffs, the
-/// blocked-in-memory path the timing wheel never sees.
+/// blocked-in-memory path no wake queue ever sees.
 void build_sync_ring(Machine& m, ProgramPool& pool) {
   constexpr int kStreams = 16;
   constexpr int kRounds = 8;
@@ -228,7 +228,7 @@ TEST(MtaGolden, SpawnTreePinnedToSeed) {
   cfg.num_processors = 2;
   cfg.streams_per_processor = 16;
   const MtaRunResult r = expect_golden(cfg, build_spawn_tree, "spawn tree");
-  // Captured from the pre-timing-wheel seed build; any drift here is a
+  // Captured from the pre-optimization seed build; any drift here is a
   // behaviour change in BOTH paths, which fast-vs-slow alone cannot see.
   EXPECT_EQ(r.cycles, 5755u);
   EXPECT_EQ(r.instructions_issued, 3673u);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <vector>
 
 #include "mta/stream_program.hpp"
@@ -10,6 +13,7 @@
 #include "platforms/experiment.hpp"
 #include "platforms/paper.hpp"
 #include "platforms/platform.hpp"
+#include "platforms/testbed_cache.hpp"
 
 namespace tc3i::platforms {
 namespace {
@@ -155,6 +159,89 @@ TEST(RunMtaPoints, PerRunWallTimeFitsInTheCallsElapsedTime) {
   EXPECT_EQ(wall.count(), points.size());
   EXPECT_GT(wall.sum(), 0.0);
   EXPECT_LE(wall.sum(), elapsed);
+}
+
+void expect_same_profiles(const Testbed& a, const Testbed& b) {
+  const auto same_pair = [](const c3i::threat::PairProfile& x,
+                            const c3i::threat::PairProfile& y) {
+    EXPECT_EQ(x.num_threats, y.num_threats);
+    EXPECT_EQ(x.num_weapons, y.num_weapons);
+    EXPECT_EQ(x.steps, y.steps);
+    EXPECT_EQ(x.intervals_found, y.intervals_found);
+  };
+  const auto same_terrain = [](const c3i::terrain::TerrainProfile& x,
+                               const c3i::terrain::TerrainProfile& y) {
+    EXPECT_EQ(x.x_size, y.x_size);
+    EXPECT_EQ(x.y_size, y.y_size);
+    ASSERT_EQ(x.threats.size(), y.threats.size());
+    for (std::size_t i = 0; i < x.threats.size(); ++i) {
+      EXPECT_EQ(x.threats[i].kernel_cells, y.threats[i].kernel_cells);
+      EXPECT_EQ(x.threats[i].simple_cells, y.threats[i].simple_cells);
+      EXPECT_EQ(x.threats[i].ring_sizes, y.threats[i].ring_sizes);
+    }
+  };
+  ASSERT_EQ(a.threat_profiles.size(), b.threat_profiles.size());
+  for (std::size_t i = 0; i < a.threat_profiles.size(); ++i)
+    same_pair(a.threat_profiles[i], b.threat_profiles[i]);
+  ASSERT_EQ(a.terrain_profiles.size(), b.terrain_profiles.size());
+  for (std::size_t i = 0; i < a.terrain_profiles.size(); ++i)
+    same_terrain(a.terrain_profiles[i], b.terrain_profiles[i]);
+  same_pair(a.threat_profile_scaled, b.threat_profile_scaled);
+  same_terrain(a.terrain_profile_scaled, b.terrain_profile_scaled);
+  EXPECT_EQ(a.threat_mta_factor, b.threat_mta_factor);
+  EXPECT_EQ(a.terrain_mta_factor, b.terrain_mta_factor);
+  EXPECT_EQ(a.alpha.compute_rate_ips, b.alpha.compute_rate_ips);
+}
+
+TEST(TestbedCache, CorruptFileIsAMissAndRebuildsTheTestbed) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "tc3i_cache_corrupt";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  ASSERT_EQ(::setenv("TC3I_TESTBED_CACHE", dir.c_str(), /*overwrite=*/1), 0);
+
+  obs::CounterRegistry registry;
+  obs::Context ctx = obs::current_context();
+  ctx.registry = &registry;
+  const obs::ScopedContext scope(ctx);
+  obs::Counter& hits = registry.counter("testbed.cache.hit");
+  obs::Counter& misses = registry.counter("testbed.cache.miss");
+
+  const Testbed reference = build_testbed();
+  (void)load_or_build_testbed();  // writes the cache file
+  ASSERT_EQ(misses.value(), 1u);
+  fs::path file;
+  for (const auto& e : fs::directory_iterator(dir)) file = e.path();
+  ASSERT_FALSE(file.empty());
+  expect_same_profiles(load_or_build_testbed(), reference);
+  ASSERT_EQ(hits.value(), 1u);  // the intact file loads
+
+  // Flip one bit of the first threat pair profile's first `steps` entry
+  // (magic, version, fingerprint, profile count, num_threats, num_weapons
+  // and the steps length precede it: 7 words). Every length and bound
+  // still checks out, so only the payload checksum can catch it.
+  {
+    std::FILE* f = std::fopen(file.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 7 * 8, SEEK_SET), 0);
+    const int byte = std::fgetc(f);
+    ASSERT_NE(byte, EOF);
+    ASSERT_EQ(std::fseek(f, 7 * 8, SEEK_SET), 0);
+    ASSERT_NE(std::fputc(byte ^ 0x01, f), EOF);
+    std::fclose(f);
+  }
+  expect_same_profiles(load_or_build_testbed(), reference);
+  EXPECT_EQ(misses.value(), 2u);
+  EXPECT_EQ(hits.value(), 1u);
+
+  // The miss rewrote an intact file; now cut it in half.
+  fs::resize_file(file, fs::file_size(file) / 2);
+  expect_same_profiles(load_or_build_testbed(), reference);
+  EXPECT_EQ(misses.value(), 3u);
+  EXPECT_EQ(hits.value(), 1u);
+
+  ::unsetenv("TC3I_TESTBED_CACHE");
+  fs::remove_all(dir);
 }
 
 }  // namespace
