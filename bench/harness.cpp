@@ -5,7 +5,6 @@
 
 #include "core/cli.hpp"
 #include "core/contracts.hpp"
-#include "obs/flight.hpp"
 #include "platforms/testbed_cache.hpp"
 
 namespace tc3i::bench {
@@ -28,23 +27,8 @@ Session::~Session() = default;
 const platforms::Testbed& testbed() {
   // Kernel profiles come from the disk cache when available (identical
   // testbed either way; see platforms/testbed_cache.hpp).
-  static const platforms::Testbed tb = []() {
-    // A cache miss re-profiles every kernel — seconds of wall time a
-    // live-status reader would otherwise see as an unexplained stall.
-    set_phase("testbed");
-    platforms::Testbed built = platforms::load_or_build_testbed();
-    set_phase("sweep");
-    return built;
-  }();
+  static const platforms::Testbed tb = platforms::load_or_build_testbed();
   return tb;
-}
-
-void set_phase(const std::string& phase) {
-  if (obs::LiveBus* bus = obs::current_context().live; bus != nullptr)
-    bus->set_phase(phase);
-  // Phase breadcrumbs also land in the always-on flight rings, so a
-  // postmortem dump shows what the process was doing, bus or no bus.
-  obs::flight::phase(phase);
 }
 
 void add_comparison_row(TextTable& table, const std::string& label,

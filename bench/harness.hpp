@@ -39,10 +39,6 @@ class Session {
 /// The calibrated testbed, built once per process.
 [[nodiscard]] const platforms::Testbed& testbed();
 
-/// Labels subsequent live-status snapshots (--status-out) with the bench
-/// phase in flight ("testbed", "table05", ...). No-op without a live bus.
-void set_phase(const std::string& phase);
-
 /// Adds a "paper vs measured" row: label, paper seconds, measured seconds,
 /// measured/paper ratio.
 void add_comparison_row(TextTable& table, const std::string& label,

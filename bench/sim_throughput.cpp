@@ -20,12 +20,9 @@
 // sweep_plain / sweep_telemetry pair measures sim::run_sweep itself on a
 // 100-point sweep of a cheap MTA machine — first bare, then with the full
 // sweep-telemetry stack active (scheduler span store, per-run records,
-// live status bus, cross-run aggregation and SweepReport + Chrome-trace +
-// LiveStatus serialization);
+// cross-run aggregation and SweepReport + Chrome-trace serialization);
 // scripts/check.sh gates the telemetry regime at >= 0.95x the plain one
-// (< 5% overhead). sweep_flight_off re-measures sweep_plain with the
-// always-on flight recorder disabled, pinning the recorder's cost
-// (check.sh gates sweep_plain >= 0.98x sweep_flight_off).
+// (< 5% overhead).
 //
 // Each scenario runs `--reps` times (default 3); the median wall time
 // produces two RunReport rows per scenario ("<name>.cycles_per_sec" and
@@ -53,7 +50,6 @@
 #include "obs/aggregate.hpp"
 #include "obs/context.hpp"
 #include "obs/critpath.hpp"
-#include "obs/flight.hpp"
 #include "obs/hostres.hpp"
 #include "obs/run_record.hpp"
 #include "obs/session.hpp"
@@ -223,16 +219,9 @@ double measure_sweep_regime(int reps, int jobs, std::size_t points,
   for (int rep = 0; rep < reps; ++rep) {
     obs::RunRecordStore records;
     obs::SweepSchedStore sched;
-    // The telemetry regime also feeds a live bus (the per-point wait-free
-    // cell writes every monitored sweep pays) and folds one status
-    // snapshot, so the 0.95x gate covers --status-out's worker-side cost.
-    obs::LiveBus bus;
     obs::Context ctx = base;
     ctx.records = &records;
-    if (telemetry) {
-      ctx.sched = &sched;
-      ctx.live = &bus;
-    }
+    if (telemetry) ctx.sched = &sched;
     const obs::ScopedContext scope(ctx);
     const auto start = std::chrono::steady_clock::now();
     sim::run_sweep(points, jobs, [](std::size_t i) {
@@ -249,13 +238,9 @@ double measure_sweep_regime(int reps, int jobs, std::size_t points,
       host.queue_wait_seconds = s.queue_wait_seconds;
       host.execute_seconds = s.execute_seconds;
       std::ostringstream report_sink;
-      agg.write_report_json(report_sink, "sim_throughput", host,
-                            bus.anomalies());
+      agg.write_report_json(report_sink, "sim_throughput", host);
       std::ostringstream trace_sink;
       sched.write_chrome_trace(trace_sink);
-      std::ostringstream status_sink;
-      obs::LiveBus::write_status_json(bus.snapshot(/*done=*/true),
-                                      status_sink);
     }
     const auto stop = std::chrono::steady_clock::now();
     times.push_back(std::chrono::duration<double>(stop - start).count());
@@ -403,20 +388,6 @@ int main(int argc, char** argv) {
                          static_cast<double>(kPoints) / plain);
     run.report().add_row("sweep_telemetry.points_per_sec", 1.0,
                          static_cast<double>(kPoints) / telem);
-
-    // Flight-recorder overhead regime: sweep_plain runs with the
-    // always-on flight rings recording; this re-measures the identical
-    // sweep with the recorder disabled (each emit degrades to one relaxed
-    // load + branch, the compiled-out floor). scripts/check.sh gates
-    // sweep_plain at >= 0.98x this row, the <=2% recorder budget.
-    obs::flight::set_enabled(false);
-    const double flight_off =
-        measure_sweep_regime(reps, sweep_jobs, kPoints, /*telemetry=*/false);
-    obs::flight::set_enabled(true);
-    table.row({"sweep_flight_off", "-", "-",
-               TextTable::num(flight_off * 1e3, 2), "-", "-"});
-    run.report().add_row("sweep_flight_off.points_per_sec", 1.0,
-                         static_cast<double>(kPoints) / flight_off);
   }
   table.render(std::cout);
 

@@ -6,6 +6,8 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 namespace tc3i::c3i::io {
 
@@ -36,6 +38,21 @@ bool read_value(std::istream& is, T& out, const char* what,
     error = std::string("failed to read ") + what;
     return false;
   }
+  return true;
+}
+
+/// Reads a record count. The count only bounds the record loop: containers
+/// grow as records arrive, so a corrupt count fails on the first missing
+/// record instead of allocating for records that are not there.
+bool read_count(std::istream& is, std::size_t& out, const char* what,
+                std::string& error) {
+  long long count = 0;
+  if (!read_value(is, count, what, error)) return false;
+  if (count < 0) {
+    error = std::string("negative ") + what;
+    return false;
+  }
+  out = static_cast<std::size_t>(count);
   return true;
 }
 
@@ -86,9 +103,8 @@ bool read_scenario(std::istream& is, threat::Scenario& out,
 
   std::size_t n = 0;
   if (!expect_token(is, "weapons", error) ||
-      !read_value(is, n, "weapon count", error))
+      !read_count(is, n, "weapon count", error))
     return false;
-  s.weapons.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (!expect_token(is, "w", error)) return false;
     threat::Weapon w;
@@ -102,9 +118,8 @@ bool read_scenario(std::istream& is, threat::Scenario& out,
   }
 
   if (!expect_token(is, "threats", error) ||
-      !read_value(is, n, "threat count", error))
+      !read_count(is, n, "threat count", error))
     return false;
-  s.threats.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (!expect_token(is, "t", error)) return false;
     threat::Threat t;
@@ -169,9 +184,8 @@ bool read_scenario(std::istream& is, terrain::Scenario& out,
 
   std::size_t n = 0;
   if (!expect_token(is, "threats", error) ||
-      !read_value(is, n, "threat count", error))
+      !read_count(is, n, "threat count", error))
     return false;
-  s.threats.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (!expect_token(is, "t", error)) return false;
     terrain::GroundThreat t;
@@ -191,14 +205,20 @@ bool read_scenario(std::istream& is, terrain::Scenario& out,
       !read_value(is, has_heights, "heights flag", error))
     return false;
   if (has_heights != 0) {
-    s.terrain = terrain::Grid(x_size, y_size, 0.0);
+    // Grown as values arrive, like the record lists above: a header
+    // claiming a huge grid fails at the first missing height.
+    std::vector<double> heights;
     for (int y = 0; y < y_size; ++y)
-      for (int x = 0; x < x_size; ++x)
-        if (!(is >> s.terrain.at(x, y))) {
+      for (int x = 0; x < x_size; ++x) {
+        double h = 0.0;
+        if (!(is >> h)) {
           error = "truncated height grid at (" + std::to_string(x) + ", " +
                   std::to_string(y) + ")";
           return false;
         }
+        heights.push_back(h);
+      }
+    s.terrain = terrain::Grid(x_size, y_size, std::move(heights));
   } else {
     s.terrain = terrain::Grid(1, 1, 0.0);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/rng.hpp"
 
@@ -13,6 +14,13 @@ Grid::Grid(int x_size, int y_size, double fill_value)
       data_(static_cast<std::size_t>(x_size) * static_cast<std::size_t>(y_size),
             fill_value) {
   TC3I_EXPECTS(x_size > 0 && y_size > 0);
+}
+
+Grid::Grid(int x_size, int y_size, std::vector<double> data)
+    : x_size_(x_size), y_size_(y_size), data_(std::move(data)) {
+  TC3I_EXPECTS(x_size > 0 && y_size > 0);
+  TC3I_EXPECTS(data_.size() == static_cast<std::size_t>(x_size) *
+                                   static_cast<std::size_t>(y_size));
 }
 
 void Grid::fill(double value) {

@@ -19,6 +19,8 @@ class Grid {
  public:
   Grid() = default;
   Grid(int x_size, int y_size, double fill_value = 0.0);
+  /// Adopts `data` (row-major, x_size * y_size values) as the grid.
+  Grid(int x_size, int y_size, std::vector<double> data);
 
   [[nodiscard]] int x_size() const { return x_size_; }
   [[nodiscard]] int y_size() const { return y_size_; }

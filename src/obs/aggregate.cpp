@@ -5,7 +5,6 @@
 
 #include "core/contracts.hpp"
 #include "obs/json.hpp"
-#include "obs/live.hpp"
 
 namespace tc3i::obs {
 
@@ -272,13 +271,13 @@ void SweepAggregator::write_groups_json(JsonWriter& w) const {
   w.end_array();
 }
 
-void SweepAggregator::write_report_json(
-    std::ostream& out, const std::string& bench, const SweepHostSection& host,
-    const std::vector<LiveAnomaly>& anomalies) const {
+void SweepAggregator::write_report_json(std::ostream& out,
+                                        const std::string& bench,
+                                        const SweepHostSection& host) const {
   JsonWriter w(out);
   w.begin_object();
   w.field("bench", bench);
-  w.field("schema_version", std::uint64_t{5});
+  w.field("schema_version", std::uint64_t{6});
   w.field("kind", "sweep_report");
   write_groups_json(w);
   w.key("host");
@@ -300,8 +299,6 @@ void SweepAggregator::write_report_json(
   w.field("execute_seconds", host.execute_seconds);
   w.end_object();
   w.end_object();
-  w.key("anomalies");
-  write_anomalies_json(w, anomalies);
   w.end_object();
   out << '\n';
 }

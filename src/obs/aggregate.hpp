@@ -12,10 +12,10 @@
 // records in submission order, so a sweep aggregated after sim::run_sweep's
 // submission-order merge serializes byte-identically at any --jobs.
 //
-// The JSON schema ("sweep_report", schema_version 5; v4 lacked the
-// "anomalies" watchdog section) is documented in docs/OBSERVABILITY.md and
-// validated by tools/json_check; tools/sweep_report renders/diffs it and
-// tools/report_diff diffs it group-wise.
+// The JSON schema ("sweep_report", schema_version 6; v5 carried an
+// "anomalies" array, v4 lacked it) is documented in docs/OBSERVABILITY.md
+// and validated by tools/json_check; tools/sweep_report renders/diffs it
+// and tools/report_diff diffs it group-wise.
 #pragma once
 
 #include <cstddef>
@@ -29,7 +29,6 @@
 namespace tc3i::obs {
 
 class JsonWriter;
-struct LiveAnomaly;
 
 /// Deterministic mergeable quantile summary of a weighted value stream.
 ///
@@ -182,12 +181,10 @@ class SweepAggregator {
   /// groups) — the part that is byte-identical at any --jobs.
   void write_groups_json(JsonWriter& w) const;
 
-  /// Full SweepReport (schema_version 5, kind "sweep_report"): aggregate
-  /// sections plus the host/sched accounting and the watchdog `anomalies`
-  /// (empty for runs without a live bus). Ends with a newline.
+  /// Full SweepReport (schema_version 6, kind "sweep_report"): aggregate
+  /// sections plus the host/sched accounting. Ends with a newline.
   void write_report_json(std::ostream& out, const std::string& bench,
-                         const SweepHostSection& host,
-                         const std::vector<LiveAnomaly>& anomalies = {}) const;
+                         const SweepHostSection& host) const;
 
  private:
   SweepGroup& group_for(const SweepGroupKey& key);

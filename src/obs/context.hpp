@@ -3,11 +3,10 @@
 //
 // One obs::Context names everything the machine models, the sweep runner
 // and the sthreads runtime feed: the counter registry, the run-record,
-// timeline and critical-path stores, the scenario label, the trace sink,
-// the sweep-scheduler store, the live bus and the --progress flag. A
-// thread sees the context of its innermost ScopedContext, or the process
-// default (the process-wide registry and nothing else) when none is
-// installed. Besides ScopedScenarioLabel, three parties install one:
+// timeline and critical-path stores, the scenario label, the trace sink
+// and the sweep-scheduler store. A thread sees the context of its
+// innermost ScopedContext, or the process default (the process-wide
+// registry and nothing else) when none is installed. Besides ScopedScenarioLabel, three parties install one:
 //   - RunSession, for the binary's lifetime, with the stores its flags ask
 //     for;
 //   - sthreads::Thread, which hands the creating thread's context to the
@@ -24,7 +23,6 @@ namespace tc3i::obs {
 
 class CounterRegistry;
 class CritPathStore;
-class LiveBus;
 class RunRecordStore;
 class SweepSchedStore;
 class TimelineStore;
@@ -43,8 +41,6 @@ struct Context {
   std::string scenario;
   TraceSink* sink = nullptr;         ///< simulator event trace
   SweepSchedStore* sched = nullptr;  ///< sweep-scheduler host spans
-  LiveBus* live = nullptr;           ///< live status bus
-  bool progress = false;             ///< --progress ticker requested
 };
 
 /// The calling thread's context: the innermost ScopedContext's, else the

@@ -198,10 +198,6 @@ void RunReport::set_machine_runs(std::vector<RunRecord> runs) {
   machine_runs_ = std::move(runs);
 }
 
-void RunReport::set_anomalies(std::vector<LiveAnomaly> anomalies) {
-  anomalies_ = std::move(anomalies);
-}
-
 void RunReport::write_json(std::ostream& out,
                            const CounterRegistry& registry) const {
   const std::vector<MetricSnapshot> metrics = registry.snapshot();
@@ -209,7 +205,7 @@ void RunReport::write_json(std::ostream& out,
   JsonWriter w(out);
   w.begin_object();
   w.field("bench", bench_);
-  w.field("schema_version", std::uint64_t{5});
+  w.field("schema_version", std::uint64_t{6});
 
   w.key("config");
   w.begin_object();
@@ -314,9 +310,6 @@ void RunReport::write_json(std::ostream& out,
     w.end_object();
   }
   w.end_array();
-
-  w.key("anomalies");
-  write_anomalies_json(w, anomalies_);
 
   w.key("notes");
   w.begin_array();

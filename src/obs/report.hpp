@@ -5,20 +5,18 @@
 // of the counter registry, and serializes it as JSON (schema below) so
 // result trajectories can be produced and diffed mechanically.
 //
-// Schema (schema_version 5; version 1 lacked "machine_runs", version 2
-// lacked the optional per-run "critical_path" section, versions 3 and
-// below lacked the "anomalies" watchdog section — 4 is skipped so
-// RunReport and SweepReport share one version number from v5 on):
+// Schema (schema_version 6; version 1 lacked "machine_runs", version 2
+// lacked the optional per-run "critical_path" section, version 5 carried
+// an "anomalies" array that version 6 dropped — 4 is skipped so RunReport
+// and SweepReport share one version number from v5 on):
 //   {
-//     "bench": "<name>", "schema_version": 5,
+//     "bench": "<name>", "schema_version": 6,
 //     "config": { "<key>": "<value>", ... },
 //     "rows": [ { "label": ..., "paper": s, "measured": s, "ratio": r } ],
 //     "counters": { "<name>": u64, ... },
 //     "gauges": { "<name>": double, ... },
 //     "histograms": { "<name>": {"count","sum","p50","p90","p99","max"} },
 //     "machine_runs": [ per-run accounting records, see set_machine_runs() ],
-//     "anomalies": [ watchdog findings from the live bus, see
-//                    obs::write_anomalies_json(); [] without --status-out ],
 //     "notes": [ "...", ... ]
 //   }
 //
@@ -50,7 +48,6 @@
 #include <vector>
 
 #include "obs/counters.hpp"
-#include "obs/live.hpp"
 #include "obs/run_record.hpp"
 
 namespace tc3i::obs {
@@ -84,11 +81,6 @@ class RunReport {
   /// at finish()).
   void set_machine_runs(std::vector<RunRecord> runs);
 
-  /// Replaces the watchdog findings serialized as the "anomalies" array
-  /// (RunSession feeds these from its LiveBus at finish(); the array is
-  /// always emitted, empty for runs without a live bus).
-  void set_anomalies(std::vector<LiveAnomaly> anomalies);
-
   [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
   [[nodiscard]] const std::vector<RunRecord>& machine_runs() const {
     return machine_runs_;
@@ -115,7 +107,6 @@ class RunReport {
   std::vector<Row> rows_;
   std::vector<std::string> notes_;
   std::vector<RunRecord> machine_runs_;
-  std::vector<LiveAnomaly> anomalies_;
 };
 
 }  // namespace tc3i::obs

@@ -9,7 +9,6 @@
 
 #include "core/contracts.hpp"
 #include "obs/aggregate.hpp"
-#include "obs/flight.hpp"
 
 namespace tc3i::obs {
 
@@ -51,34 +50,13 @@ void RunSession::add_cli_flags(CliParser& cli) {
                "capture per-run dependency graphs and attach critical-path "
                "attribution + what-if projections to machine runs "
                "(bare --critpath or --critpath true)");
-  cli.add_flag("progress", "false",
-               "stderr progress ticker for simulation sweeps (runs "
-               "completed / total + ETA; auto-disabled when stderr is not "
-               "a TTY)");
   cli.add_flag("sweep-report-out", "",
                "aggregate all machine runs into a SweepReport JSON "
-               "(schema v4: per-group rollups, quantiles, outliers, "
+               "(schema v6: per-group rollups, quantiles, outliers, "
                "host-resource + sweep-scheduler accounting)");
   cli.add_flag("sweep-trace-out", "",
                "write a Chrome trace of the sweep scheduler (one lane per "
                "--jobs worker, queue-wait vs execute spans per point)");
-  cli.add_flag("status-out", "",
-               "publish a live LiveStatus JSON snapshot (progress, ETA, "
-               "per-worker state, watchdog anomalies) to this path every "
-               "--status-period ms via atomic rename");
-  cli.add_flag("status-period", "500",
-               "publish interval in milliseconds for --status-out");
-  cli.add_flag("watchdog-k", "8",
-               "flag a running sweep point as a slow_point anomaly past "
-               "k x the median completed-point duration");
-  cli.add_flag("watchdog-timeout", "5",
-               "flag a worker as a stalled_worker anomaly when its "
-               "heartbeat is silent this many seconds while holding work");
-  cli.add_flag("flight-out", "",
-               "arm the black-box flight recorder's dump triggers: first "
-               "watchdog anomaly or SIGUSR1 writes the per-thread event "
-               "rings to this JSON path; SIGSEGV/SIGABRT/SIGBUS write "
-               "them (plus a backtrace) to '<path>.crash'");
 }
 
 RunSession::RunSession(std::string name, const CliParser& cli)
@@ -88,8 +66,6 @@ RunSession::RunSession(std::string name, const CliParser& cli)
       timeline_path_(cli.get("timeline-out")),
       sweep_report_path_(cli.get("sweep-report-out")),
       sweep_trace_path_(cli.get("sweep-trace-out")),
-      status_path_(cli.get("status-out")),
-      flight_path_(cli.get("flight-out")),
       dump_counters_(cli.get_bool("counters")),
       host_begin_(sample_host_usage()),
       report_(name_) {
@@ -98,12 +74,11 @@ RunSession::RunSession(std::string name, const CliParser& cli)
   // "true" (CliParser bare-flag rule); these flags need real paths.
   if (trace_path_ == "true" || report_path_ == "true" ||
       timeline_path_ == "true" || sweep_report_path_ == "true" ||
-      sweep_trace_path_ == "true" || status_path_ == "true" ||
-      flight_path_ == "true") {
+      sweep_trace_path_ == "true") {
     std::fprintf(stderr,
                  "error: --trace-out, --report-out, --timeline-out, "
-                 "--sweep-report-out, --sweep-trace-out, --status-out and "
-                 "--flight-out require a file path\n");
+                 "--sweep-report-out and --sweep-trace-out require a file "
+                 "path\n");
     std::exit(2);
   }
   const std::int64_t sample_period = cli.get_int("sample-period");
@@ -145,7 +120,6 @@ RunSession::RunSession(std::string name, const CliParser& cli)
     critpath_ = std::make_unique<CritPathStore>(/*retain_graphs=*/false);
     ctx.critpath = critpath_.get();
   }
-  ctx.progress = cli.get_bool("progress");
   if (!sweep_report_path_.empty() || !sweep_trace_path_.empty()) {
     sched_ = std::make_unique<SweepSchedStore>();
     ctx.sched = sched_.get();
@@ -155,44 +129,6 @@ RunSession::RunSession(std::string name, const CliParser& cli)
         static_cast<std::uint64_t>(sample_period));
     ctx.timeline = timeline_.get();
   }
-  // The live bus backs both --status-out (publisher thread) and the
-  // --progress ticker (throughput/ETA fold); install it when either asks.
-  if (!status_path_.empty() || cli.get_bool("progress")) {
-    const std::int64_t status_period = cli.get_int("status-period");
-    const double watchdog_k = cli.get_double("watchdog-k");
-    const double watchdog_timeout = cli.get_double("watchdog-timeout");
-    if (status_period < 1) {
-      std::fprintf(stderr, "error: --status-period must be >= 1 ms (got "
-                   "%lld)\n",
-                   static_cast<long long>(status_period));
-      std::exit(2);
-    }
-    if (!(watchdog_k > 0.0) || !(watchdog_timeout > 0.0)) {
-      std::fprintf(stderr,
-                   "error: --watchdog-k and --watchdog-timeout must be > 0\n");
-      std::exit(2);
-    }
-    WatchdogConfig watchdog;
-    watchdog.slow_point_k = watchdog_k;
-    watchdog.heartbeat_timeout_seconds = watchdog_timeout;
-    live_ = std::make_unique<LiveBus>(watchdog);
-    live_->set_bench(name_);
-    ctx.live = live_.get();
-    if (!status_path_.empty())
-      publisher_ = std::make_unique<LivePublisher>(
-          *live_, status_path_, static_cast<int>(status_period));
-  }
-  // The flight recorder itself is always on; --flight-out arms its dump
-  // triggers (watchdog via LiveBus::snapshot, SIGUSR1, and the
-  // fatal-signal crash path with its pre-opened fd).
-  flight::set_bench(name_);
-  if (!flight_path_.empty()) {
-    std::error_code ec;
-    const auto parent = std::filesystem::path(flight_path_).parent_path();
-    if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-    flight::set_dump_path(flight_path_);
-    flight::install_signal_handlers(flight_path_);
-  }
   scope_.emplace(std::move(ctx));
   g_active = this;
 }
@@ -201,10 +137,6 @@ RunSession::~RunSession() {
   finish();
   if (g_active == this) g_active = nullptr;
   scope_.reset();
-  if (!flight_path_.empty()) {
-    flight::uninstall_signal_handlers();
-    flight::set_dump_path("");
-  }
 }
 
 RunSession* RunSession::active() { return g_active; }
@@ -212,24 +144,6 @@ RunSession* RunSession::active() { return g_active; }
 void RunSession::finish() {
   if (finished_) return;
   finished_ = true;
-
-  // Stop live publishing first: the final done=true snapshot runs one last
-  // watchdog pass, so the anomaly list persisted into the reports below is
-  // complete.
-  std::vector<LiveAnomaly> anomalies;
-  if (live_ != nullptr) {
-    if (publisher_ != nullptr) {
-      const std::uint64_t published = publisher_->finish();
-      std::printf("[obs] live status: %s (%llu snapshot%s)\n",
-                  status_path_.c_str(),
-                  static_cast<unsigned long long>(published),
-                  published == 1 ? "" : "s");
-    } else {
-      (void)live_->snapshot(/*done=*/true);
-    }
-    anomalies = live_->anomalies();
-    report_.set_anomalies(anomalies);
-  }
 
   if (sink_ != nullptr && !trace_path_.empty()) {
     std::error_code ec;
@@ -300,7 +214,7 @@ void RunSession::finish() {
     if (!parent.empty()) std::filesystem::create_directories(parent, ec);
     std::ofstream out(sweep_report_path_);
     if (out) {
-      agg.write_report_json(out, name_, host, anomalies);
+      agg.write_report_json(out, name_, host);
       std::printf("[obs] sweep report: %s (%llu runs, %zu groups)\n",
                   sweep_report_path_.c_str(),
                   static_cast<unsigned long long>(agg.runs()),

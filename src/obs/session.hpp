@@ -9,21 +9,8 @@
 //                         (bare flag; `--counters true` also accepted)
 //   --critpath            capture per-run dependency graphs; RunRecords
 //                         gain a critical_path section (bare flag)
-//   --progress            stderr ticker for sim::run_sweep (runs done /
-//                         total + throughput + ETA from the live bus;
-//                         auto-off when stderr is not a TTY)
-//   --status-out <path>   publish a live LiveStatus JSON snapshot to this
-//                         path every --status-period ms (atomic rename, so
-//                         readers like tools/sweep_monitor never see a torn
-//                         file); the final snapshot carries done=true
-//   --status-period <ms>  publish interval for --status-out (default 500)
-//   --watchdog-k <k>      a running point is anomalous past k x the median
-//                         completed-point duration (default 8)
-//   --watchdog-timeout <s>  a worker heartbeat silent past this many
-//                         seconds while holding work is a stalled_worker
-//                         anomaly (default 5)
 //   --sweep-report-out <path>  aggregate every machine run into a
-//                         SweepReport JSON (schema v4: per-group rollups,
+//                         SweepReport JSON (schema v6: per-group rollups,
 //                         quantile sketches, outlier runs, host-resource
 //                         and sweep-scheduler accounting)
 //   --sweep-trace-out <path>   write a Chrome trace of the sweep scheduler
@@ -42,15 +29,15 @@
 //
 // Construction builds one obs::Context (context.hpp) naming the stores its
 // flags ask for — trace sink, run records (always), timeline, critical-path
-// store, sweep-scheduler store, live bus, --progress — and installs it on
-// the constructing thread for the session's lifetime. Threads started
-// through sthreads::Thread inherit it, and sim::run_sweep forks it per
-// point at --jobs > 1 and merges the forks back in submission order, so
-// every output is byte-identical at any --jobs. Destruction (or finish())
-// writes all requested outputs. Exactly one session may be active at a
-// time; RunSession::active() lets shared helper
-// code (e.g. the bench harness row formatter) feed the report without
-// threading a pointer through every call site.
+// store, sweep-scheduler store — and installs it on the constructing
+// thread for the session's lifetime. Threads started through
+// sthreads::Thread inherit it, and sim::run_sweep forks it per point at
+// --jobs > 1 and merges the forks back in submission order, so every
+// output is byte-identical at any --jobs. Destruction (or finish()) writes
+// all requested outputs. Exactly one session may be active at a time;
+// RunSession::active() lets shared helper code (e.g. the bench harness row
+// formatter) feed the report without threading a pointer through every
+// call site.
 #pragma once
 
 #include <memory>
@@ -61,7 +48,6 @@
 #include "obs/context.hpp"
 #include "obs/critpath.hpp"
 #include "obs/hostres.hpp"
-#include "obs/live.hpp"
 #include "obs/report.hpp"
 #include "obs/run_record.hpp"
 #include "obs/timeline.hpp"
@@ -98,9 +84,6 @@ class RunSession {
   /// Non-null iff --sweep-report-out or --sweep-trace-out was given
   /// (sim::run_sweep feeds it one span per point).
   [[nodiscard]] SweepSchedStore* sweep_sched() { return sched_.get(); }
-  /// Non-null iff --status-out or --progress was given (sweep workers feed
-  /// it; the --progress ticker and the --status-out publisher read it).
-  [[nodiscard]] LiveBus* live() { return live_.get(); }
 
   /// Resolved host worker-thread count for sim::run_sweep: the --jobs flag
   /// with 0 replaced by std::thread::hardware_concurrency() and tracing
@@ -118,8 +101,6 @@ class RunSession {
   std::string timeline_path_;
   std::string sweep_report_path_;
   std::string sweep_trace_path_;
-  std::string status_path_;
-  std::string flight_path_;
   int jobs_ = 1;
   bool dump_counters_ = false;
   bool finished_ = false;
@@ -128,8 +109,6 @@ class RunSession {
   std::unique_ptr<TimelineStore> timeline_;
   std::unique_ptr<CritPathStore> critpath_;
   std::unique_ptr<SweepSchedStore> sched_;
-  std::unique_ptr<LiveBus> live_;
-  std::unique_ptr<LivePublisher> publisher_;
   HostResUsage host_begin_;
   RunReport report_;
   std::optional<ScopedContext> scope_;  ///< installs the stores above

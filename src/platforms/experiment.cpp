@@ -246,9 +246,9 @@ double terrain_coarse_static_seconds(const Testbed& tb,
 
 namespace {
 
-/// Runs one point on a scalar machine, byte-for-byte the pre-batched code
-/// shape (the seconds functions below are often called from inside an
-/// outer sim::run_sweep, so they must not start a nested sweep).
+/// Runs one point on its own machine, inline on the calling thread (the
+/// seconds functions below are often called from inside an outer
+/// sim::run_sweep, so they must not start a nested sweep).
 double run_point_scalar(const MtaPoint& p) {
   const obs::ScopedScenarioLabel scenario_label(p.batch.scenario);
   mta::Machine machine(p.batch.config);

@@ -8,13 +8,13 @@
 // Fork and merge rule: with jobs > 1 every point runs under its own
 // obs::ContextFork of the caller's obs::Context — a fresh counter registry
 // and, where the caller collects them, fresh run-record and timeline
-// stores; the critical-path store, scenario label, trace sink, scheduler
-// store, live bus and --progress flag are shared. Any sthreads the point
-// spawns inherit its forked context. After every point has finished, the
-// forks are merged into the caller's context in submission order: counters
-// sum, gauges keep the last-submitted point's value, histograms merge,
-// records and timelines append — exactly as a serial run would leave them,
-// so RunReport's machine_runs section and the --timeline-out CSV are
+// stores; the critical-path store, scenario label, trace sink and
+// scheduler store are shared. Any sthreads the point spawns inherit its
+// forked context. After every point has finished, the forks are merged
+// into the caller's context in submission order: counters sum, gauges keep
+// the last-submitted point's value, histograms merge, records and
+// timelines append — exactly as a serial run would leave them, so
+// RunReport's machine_runs section and the --timeline-out CSV are
 // byte-identical at any --jobs.
 //
 // jobs == 1 runs the points inline on the caller's thread and context,
@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -39,9 +40,7 @@
 
 #include "core/contracts.hpp"
 #include "obs/context.hpp"
-#include "obs/flight.hpp"
 #include "obs/hostres.hpp"
-#include "obs/live.hpp"
 #include "sthreads/thread.hpp"
 
 namespace tc3i::sim {
@@ -49,42 +48,6 @@ namespace tc3i::sim {
 /// Maps a --jobs flag value to a worker count: 0 means
 /// hardware_concurrency, anything else is used as-is (minimum 1).
 [[nodiscard]] int resolve_jobs(int requested);
-
-namespace detail {
-
-/// Stderr progress ticker behind the session --progress flag: one
-/// carriage-returned "[sweep] k/N  r pts/s eta Xs" line per completed
-/// point, read from the live bus (RunSession installs one whenever
-/// --progress is set), so k/N, the rate and the median-based ETA are
-/// cumulative over the session. Enabled only when the flag is set *and*
-/// stderr is a TTY; never touches stdout, so the byte-identical-output
-/// guarantees of run_sweep are unaffected.
-class SweepProgress {
- public:
-  SweepProgress(std::size_t count, const obs::Context& ctx);
-  SweepProgress(const SweepProgress&) = delete;
-  SweepProgress& operator=(const SweepProgress&) = delete;
-  ~SweepProgress();  // ends the ticker line with a summary
-
-  /// Redraws the ticker after a point completed (thread-safe).
-  void tick() const;
-
- private:
-  /// "12.3s" when `eta_seconds` is a finite positive estimate, else "?"
-  /// (zero completed points, or the bus has no estimate yet).
-  static const char* format_eta(double eta_seconds, char* buf,
-                                std::size_t len);
-
-  obs::LiveBus* bus_;  ///< null when the ticker is disabled
-};
-
-/// Fault-injection hook for the flight-recorder smoke in scripts/check.sh:
-/// TC3I_INJECT_SLOW_POINT="<index>:<millis>" sleeps before evaluating that
-/// sweep point so the watchdog provably trips. Unset (the normal case)
-/// this is one static-bool test per point.
-void maybe_inject_slow_point(std::size_t point);
-
-}  // namespace detail
 
 /// Evaluates fn(0..count-1) with at most `jobs` points in flight and
 /// returns the results indexed by point. fn must not depend on the
@@ -98,7 +61,6 @@ auto run_sweep(std::size_t count, int jobs, Fn&& fn)
   TC3I_EXPECTS(jobs >= 1);
   std::vector<Result> results(count);
   const obs::Context& parent = obs::current_context();
-  const detail::SweepProgress progress(count, parent);
   const std::size_t workers =
       jobs == 1 || count <= 1 ? 1 : std::min(static_cast<std::size_t>(jobs),
                                              count);
@@ -106,15 +68,6 @@ auto run_sweep(std::size_t count, int jobs, Fn&& fn)
   // host timestamps and the worker lane. Null store means no clock calls
   // at all, so the default path is unchanged.
   obs::SweepSchedStore* sched = parent.sched;
-  // Live telemetry (opt-in, sampled — never merged into results): announce
-  // the points and mark each begin/end on the worker's bus cell.
-  obs::LiveBus* bus = parent.live;
-  if (bus != nullptr && count > 0) bus->add_points(count);
-  // Flight recorder (always-on, sampled — never merged into results):
-  // sweep-begin plus a begin/end pair per point lands in the caller's
-  // black-box ring for postmortem dumps.
-  if (count > 0)
-    obs::flight::emit(obs::flight::EventKind::kSweepBegin, count, workers);
   const std::uint32_t sweep_id =
       sched != nullptr && count > 0
           ? sched->begin_sweep(count, static_cast<int>(workers))
@@ -132,18 +85,12 @@ auto run_sweep(std::size_t count, int jobs, Fn&& fn)
       forks[i] = std::make_unique<obs::ContextFork>(parent);
       scope.emplace(forks[i]->context());
     }
-    if (bus != nullptr) bus->begin_point(static_cast<std::uint32_t>(w), i);
-    obs::flight::emit(obs::flight::EventKind::kPointBegin, i, w);
-    detail::maybe_inject_slow_point(i);
     results[i] = fn(i);
-    obs::flight::emit(obs::flight::EventKind::kPointEnd, i, 0);
-    if (bus != nullptr) bus->end_point(static_cast<std::uint32_t>(w));
     if (sched != nullptr)
       sched->add_span(obs::SweepJobSpan{
           sweep_id, static_cast<std::uint32_t>(i),
           static_cast<std::uint32_t>(w), submit_us, start_us,
           sched->now_us()});
-    progress.tick();
   };
 
   if (workers == 1) {
@@ -157,12 +104,10 @@ auto run_sweep(std::size_t count, int jobs, Fn&& fn)
         for (std::size_t i = next.fetch_add(1); i < count;
              i = next.fetch_add(1))
           run_point(i, w);
-        obs::flight::emit(obs::flight::EventKind::kWorkerIdle, w);
       });
     }
     // Thread destructors join.
   }
-  if (count > 0) obs::flight::emit(obs::flight::EventKind::kSweepEnd, count);
   for (const auto& fork : forks) fork->merge_into(parent);
   return results;
 }

@@ -101,6 +101,28 @@ TEST(ThreatIo, RejectsNonPositiveDt) {
   EXPECT_NE(error.find("dt"), std::string::npos);
 }
 
+// A corrupt record count must end in a diagnosis: the reader grows its
+// lists as records arrive, so it fails on the first missing record rather
+// than throwing from an up-front allocation.
+TEST(ThreatIo, RejectsHugeWeaponCount) {
+  std::stringstream buffer;
+  buffer << "c3ipbs-threat-scenario-v1\nname x\ndt 1\n"
+         << "weapons 1000000000000000000\n";
+  threat::Scenario loaded;
+  std::string error;
+  EXPECT_FALSE(read_scenario(buffer, loaded, error));
+  EXPECT_NE(error.find("'w'"), std::string::npos) << error;
+}
+
+TEST(ThreatIo, RejectsNegativeWeaponCount) {
+  std::stringstream buffer;
+  buffer << "c3ipbs-threat-scenario-v1\nname x\ndt 1\nweapons -1\n";
+  threat::Scenario loaded;
+  std::string error;
+  EXPECT_FALSE(read_scenario(buffer, loaded, error));
+  EXPECT_NE(error.find("negative weapon count"), std::string::npos) << error;
+}
+
 TEST(TerrainIo, RoundTripWithHeightsIsExact) {
   const terrain::Scenario original = sample_terrain_scenario();
   std::stringstream buffer;
@@ -150,6 +172,29 @@ TEST(TerrainIo, RejectsTruncatedHeightGrid) {
   std::string error;
   EXPECT_FALSE(read_scenario(truncated, loaded, error));
   EXPECT_NE(error.find("truncated"), std::string::npos);
+}
+
+TEST(TerrainIo, RejectsHugeThreatCount) {
+  std::stringstream buffer;
+  buffer << "c3ipbs-terrain-scenario-v1\nname x\nsize 10 10\n"
+         << "threats 1000000000000000000\n";
+  terrain::Scenario loaded;
+  std::string error;
+  EXPECT_FALSE(read_scenario(buffer, loaded, error));
+  EXPECT_NE(error.find("'t'"), std::string::npos) << error;
+}
+
+TEST(TerrainIo, RejectsHugeGridWithoutHeights) {
+  // 4e18 cells: beyond any vector's max_size, so only a reader that grows
+  // the grid as heights arrive can diagnose the missing values.
+  std::stringstream buffer;
+  buffer << "c3ipbs-terrain-scenario-v1\nname x\n"
+         << "size 2000000000 2000000000\nthreats 0\nheights 1\n";
+  terrain::Scenario loaded;
+  std::string error;
+  EXPECT_FALSE(read_scenario(buffer, loaded, error));
+  EXPECT_NE(error.find("truncated height grid at (0, 0)"), std::string::npos)
+      << error;
 }
 
 TEST(FileIo, SaveAndLoadThreatScenario) {
