@@ -14,18 +14,17 @@
 //                and slot virtualization).
 // A fifth regime, obs_overhead, re-runs the saturated scenario with
 // timeline sampling active so the committed baseline pins the cost of the
-// per-cycle sampling hook; a sixth, critpath_overhead, re-runs it with
-// --critpath-style dependency-graph capture installed and pins that cost
-// (budget: at least half the uninstrumented saturated throughput). The
-// sweep_plain / sweep_telemetry pair measures sim::run_sweep itself on a
-// 100-point sweep of a cheap MTA machine — first bare, then with the full
-// sweep-telemetry stack active (scheduler span store, per-run records,
-// cross-run aggregation and SweepReport + Chrome-trace serialization);
-// scripts/check.sh gates the telemetry regime at >= 0.95x the plain one
-// (< 5% overhead).
+// per-cycle sampling hook. The sweep_plain / sweep_telemetry pair measures
+// sim::run_sweep itself on a 100-point sweep of a cheap MTA machine — bare,
+// and with the full sweep-telemetry stack active (scheduler span store,
+// per-run records, cross-run aggregation and SweepReport + Chrome-trace
+// serialization), the two alternating rep by rep; scripts/check.sh gates
+// the telemetry regime at >= 0.95x the plain one (< 5% overhead).
 //
-// Each scenario runs `--reps` times (default 3); the median wall time
-// produces two RunReport rows per scenario ("<name>.cycles_per_sec" and
+// Each scenario runs `--reps` times (default 3); the sweep pair runs at
+// least that many and until each of its regimes has spent
+// kMinSweepRegimeSeconds in sweeps. The median wall time produces two
+// RunReport rows per scenario ("<name>.cycles_per_sec" and
 // "<name>.instr_per_sec", stored in the "measured" field with paper = 1).
 // With --report-out this becomes BENCH_sim_throughput.json; scripts/check.sh
 // compares a fresh run against the committed bench/BENCH_sim_throughput.json
@@ -49,7 +48,6 @@
 #include "mta/stream_program.hpp"
 #include "obs/aggregate.hpp"
 #include "obs/context.hpp"
-#include "obs/critpath.hpp"
 #include "obs/hostres.hpp"
 #include "obs/run_record.hpp"
 #include "obs/session.hpp"
@@ -110,10 +108,11 @@ std::vector<Scenario> scenarios() {
     s.cfg.num_processors = 1;
     s.build = [](mta::Machine& m, mta::ProgramPool& pool) {
       // The fast-forward path retires compute runs analytically, so its
-      // cost scales with program *entries*, not instructions — use many
-      // entries to get a wall time large enough to compare across runs.
+      // cost scales with program *entries*, not instructions — use enough
+      // entries that one run takes over 10 ms, long enough to compare
+      // across runs.
       mta::VectorProgram* p = pool.make_vector();
-      for (int r = 0; r < 50000; ++r) {
+      for (int r = 0; r < 600000; ++r) {
         p->compute(400);
         p->load(static_cast<mta::Address>(r & 0xffff));
       }
@@ -195,58 +194,87 @@ std::uint64_t sweep_point(std::size_t index) {
   return machine.run().cycles;
 }
 
-/// Median wall seconds for one 100-point sweep at `jobs`, with the full
-/// sweep-telemetry stack active when `telemetry` is set: a scheduler span
-/// store collecting one span per point, per-run records, and — after the
-/// sweep — cross-run aggregation plus SweepReport and Chrome-trace
-/// serialization (to in-memory sinks), i.e. everything --sweep-report-out
-/// + --sweep-trace-out would add to a real sweep.
-double measure_sweep_regime(int reps, int jobs, std::size_t points,
-                            bool telemetry) {
-  std::vector<double> times;
+/// Wall seconds of one `points`-point sweep at `jobs` under `base`, with
+/// the full sweep-telemetry stack active when `telemetry` is set: a
+/// scheduler span store collecting one span per point, per-run records,
+/// and — after the sweep — cross-run aggregation plus SweepReport and
+/// Chrome-trace serialization (to in-memory sinks), i.e. everything
+/// --sweep-report-out + --sweep-trace-out would add to a real sweep.
+double time_sweep(const obs::Context& base, int jobs, std::size_t points,
+                  bool telemetry) {
+  obs::RunRecordStore records;
+  obs::SweepSchedStore sched;
+  obs::Context ctx = base;
+  ctx.records = &records;
+  if (telemetry) ctx.sched = &sched;
+  const obs::ScopedContext scope(ctx);
+  const auto start = std::chrono::steady_clock::now();
+  sim::run_sweep(points, jobs, [](std::size_t i) { return sweep_point(i); });
+  if (telemetry) {
+    const obs::SweepAggregator agg = obs::aggregate_records(records.records());
+    obs::SweepHostSection host;
+    const obs::SweepSchedStore::Summary s = sched.summary();
+    host.sweeps = s.sweeps;
+    host.points = s.points;
+    host.jobs = s.max_jobs;
+    host.queue_wait_seconds = s.queue_wait_seconds;
+    host.execute_seconds = s.execute_seconds;
+    std::ostringstream report_sink;
+    agg.write_report_json(report_sink, "sim_throughput", host);
+    std::ostringstream trace_sink;
+    sched.write_chrome_trace(trace_sink);
+  }
+  const auto stop = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(stop - start).count();
+}
+
+/// Sweep time each regime of the pair accumulates before its median is
+/// taken. One sweep takes ~30 ms on a 4-thread host and single sweeps
+/// vary by more than the 5% telemetry budget: at 0.3 s (~10 reps) the
+/// telemetry/plain ratio still fell below 0.95 in 5 of 16 runs on a busy
+/// 4-vCPU host, at 1 s (~30 reps) in none.
+constexpr double kMinSweepRegimeSeconds = 1.0;
+
+struct SweepPair {
+  double plain = 0.0;      ///< median seconds, telemetry off
+  double telemetry = 0.0;  ///< median seconds, telemetry on
+  int reps = 0;            ///< sweeps timed per regime
+};
+
+/// Median wall seconds of the sweep bare and with telemetry. After one
+/// untimed warm-up sweep the regimes alternate rep by rep (plain first on
+/// even reps, telemetry first on odd ones), so host drift during the
+/// measurement lands on both alike; reps continue past `min_reps` until
+/// each regime has spent kMinSweepRegimeSeconds in sweeps.
+SweepPair measure_sweep_regime(int min_reps, int jobs, std::size_t points) {
   obs::Context base = obs::current_context();
   base.sched = nullptr;
-  // Untimed warm-up sweep: the first sweep of the process pays thread
-  // startup and page-fault costs that would otherwise land entirely on
-  // whichever regime runs first and swamp the <5% telemetry budget.
-  {
-    obs::RunRecordStore warmup_records;
-    obs::Context ctx = base;
-    ctx.records = &warmup_records;
-    const obs::ScopedContext scope(ctx);
-    sim::run_sweep(points, jobs, [](std::size_t i) { return sweep_point(i); });
-  }
-  for (int rep = 0; rep < reps; ++rep) {
-    obs::RunRecordStore records;
-    obs::SweepSchedStore sched;
-    obs::Context ctx = base;
-    ctx.records = &records;
-    if (telemetry) ctx.sched = &sched;
-    const obs::ScopedContext scope(ctx);
-    const auto start = std::chrono::steady_clock::now();
-    sim::run_sweep(points, jobs, [](std::size_t i) {
-      return sweep_point(i);
-    });
-    if (telemetry) {
-      const obs::SweepAggregator agg =
-          obs::aggregate_records(records.records());
-      obs::SweepHostSection host;
-      const obs::SweepSchedStore::Summary s = sched.summary();
-      host.sweeps = s.sweeps;
-      host.points = s.points;
-      host.jobs = s.max_jobs;
-      host.queue_wait_seconds = s.queue_wait_seconds;
-      host.execute_seconds = s.execute_seconds;
-      std::ostringstream report_sink;
-      agg.write_report_json(report_sink, "sim_throughput", host);
-      std::ostringstream trace_sink;
-      sched.write_chrome_trace(trace_sink);
+  // The first sweep of the process pays thread startup and page-fault
+  // costs that would otherwise land entirely on whichever regime runs
+  // first and swamp the <5% telemetry budget.
+  (void)time_sweep(base, jobs, points, /*telemetry=*/false);
+  std::vector<double> plain;
+  std::vector<double> telem;
+  double plain_total = 0.0;
+  double telem_total = 0.0;
+  for (int rep = 0; rep < min_reps || plain_total < kMinSweepRegimeSeconds ||
+                    telem_total < kMinSweepRegimeSeconds;
+       ++rep) {
+    for (const bool telemetry : {rep % 2 == 1, rep % 2 == 0}) {
+      const double t = time_sweep(base, jobs, points, telemetry);
+      (telemetry ? telem : plain).push_back(t);
+      (telemetry ? telem_total : plain_total) += t;
     }
-    const auto stop = std::chrono::steady_clock::now();
-    times.push_back(std::chrono::duration<double>(stop - start).count());
   }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+  const auto median = [](std::vector<double>& v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  SweepPair out;
+  out.reps = static_cast<int>(plain.size());
+  out.plain = median(plain);
+  out.telemetry = median(telem);
+  return out;
 }
 
 /// Pulls {label -> measured} out of a RunReport JSON (schema_version 1)
@@ -342,33 +370,6 @@ int main(int argc, char** argv) {
   }
 
   {
-    // Critical-path-capture regime: the saturated scenario re-measured
-    // with a CritPathStore installed, so every issue/memory/sync/spawn
-    // event appends dependency nodes and edges (and run_solo
-    // fast-forwarding is disabled — capture needs every event). The
-    // baseline rows bound the capture cost; the acceptance budget is
-    // cycles_per_sec >= 0.5x the uninstrumented saturated rows, asserted
-    // by scripts/check.sh.
-    const Scenario sat = scenarios().front();
-    Measurement m;
-    {
-      obs::CritPathStore store(/*retain_graphs=*/false);
-      obs::Context ctx = obs::current_context();
-      ctx.critpath = &store;
-      const obs::ScopedContext scope(ctx);
-      m = measure(sat, reps);
-    }
-    const double cps = static_cast<double>(m.cycles) / m.median_seconds;
-    const double ips = static_cast<double>(m.instructions) / m.median_seconds;
-    table.row({"critpath_overhead", std::to_string(m.cycles),
-               std::to_string(m.instructions),
-               TextTable::num(m.median_seconds * 1e3, 2),
-               TextTable::num(cps / 1e6, 1), TextTable::num(ips / 1e6, 1)});
-    run.report().add_row("critpath_overhead.cycles_per_sec", 1.0, cps);
-    run.report().add_row("critpath_overhead.instr_per_sec", 1.0, ips);
-  }
-
-  {
     // Sweep-telemetry regime pair: the same 100-point sweep measured bare
     // and with the full --sweep-report-out + --sweep-trace-out stack
     // active (see measure_sweep_regime). The points_per_sec ratio is the
@@ -376,10 +377,10 @@ int main(int argc, char** argv) {
     constexpr std::size_t kPoints = 100;
     const int sweep_jobs = run.jobs();
     run.report().set_config("sweep_jobs", static_cast<double>(sweep_jobs));
-    const double plain =
-        measure_sweep_regime(reps, sweep_jobs, kPoints, /*telemetry=*/false);
-    const double telem =
-        measure_sweep_regime(reps, sweep_jobs, kPoints, /*telemetry=*/true);
+    const SweepPair pair = measure_sweep_regime(reps, sweep_jobs, kPoints);
+    run.report().set_config("sweep_reps", static_cast<double>(pair.reps));
+    const double plain = pair.plain;
+    const double telem = pair.telemetry;
     table.row({"sweep_plain", "-", "-", TextTable::num(plain * 1e3, 2),
                "-", "-"});
     table.row({"sweep_telemetry", "-", "-", TextTable::num(telem * 1e3, 2),

@@ -11,7 +11,6 @@
 #include "core/cli.hpp"
 #include "core/table.hpp"
 #include "obs/session.hpp"
-#include "sthreads/critpath.hpp"
 
 using namespace tc3i;
 
@@ -54,14 +53,7 @@ int main(int argc, char** argv) {
       TextTable table(problem->name() + " / " + variant);
       table.header({"Scenario", "Work units", "Host time (s)", "Correct"});
       for (int s = 0; s < problem->num_scenarios(); ++s) {
-        // Under --critpath the native sthreads run is bracketed so its
-        // spawn/sync/lock dependencies land in the report's machine_runs
-        // (begin/end are no-ops when no capture store is installed).
-        sthreads::cap::begin(problem->name() + "/" + variant + "/scenario" +
-                                 std::to_string(s + 1),
-                             threads);
         const c3i::VariantOutcome outcome = problem->run(variant, s, threads);
-        (void)sthreads::cap::end();
         all_ok = all_ok && outcome.correct;
         table.row({std::to_string(s + 1), std::to_string(outcome.work_units),
                    TextTable::num(outcome.host_seconds, 3),

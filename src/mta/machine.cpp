@@ -98,31 +98,6 @@ Machine::Machine(MtaConfig config)
     sample_period_ = obs_.timeline->sample_period_cycles();
     sample_next_ = sample_period_;
   }
-  cap_store_ = ctx.critpath;
-  if (cap_store_ != nullptr && config_.lookahead == 0) {
-    cap_graph_ = std::make_unique<obs::DepGraph>();
-    cap_graph_->model = "mta";
-    cap_graph_->name = config_.name;
-    cap_graph_->unit = "cycles";
-    cap_graph_->add_node(0.0);  // node 0: machine start
-    cap_ = cap_graph_.get();
-    cap_spawn_via_ = obs::DepGraph::kNoNode;
-  }
-}
-
-std::uint32_t Machine::cap_issue_node(StreamId sid, std::uint64_t now,
-                                      obs::DepKind kind) {
-  CapStream& cs = cap_streams_[static_cast<std::size_t>(sid)];
-  const std::uint32_t m =
-      cap_->add_node(static_cast<double>(now), cs.region);
-  cap_->add_edge(cs.node, obs::DepKind::kCompute, obs::DepKind::kCompute,
-                 static_cast<double>(cs.pending) *
-                     static_cast<double>(config_.issue_spacing_cycles));
-  cs.node = m;
-  cs.pending = 0;
-  cap_cur_issue_ = m;
-  cap_memory_kind_ = kind;
-  return m;
 }
 
 void Machine::push_wake(std::uint64_t at, StreamId sid, StallReason why) {
@@ -274,11 +249,6 @@ void Machine::add_stream(StreamProgram* program) {
     pending_.push(PendingSpawn{program, false});
     return;
   }
-  if (cap_ != nullptr) {
-    // Initial streams descend from the machine-start node.
-    cap_spawn_parent_ = 0;
-    cap_spawn_via_ = obs::DepGraph::kNoNode;
-  }
   activate(program, /*software=*/false, /*now=*/0);
 }
 
@@ -306,22 +276,6 @@ void Machine::activate(StreamProgram* program, bool software,
   const std::uint64_t spawn_cost = static_cast<std::uint64_t>(
       software ? config_.sw_spawn_cycles : config_.hw_spawn_cycles);
   push_wake(now + spawn_cost, sid, StallReason::kSpawn);
-
-  if (cap_ != nullptr) {
-    // Activation node: the child exists spawn_cost after the spawning
-    // instruction — and, when the spawn was virtualized, also no earlier
-    // than spawn_cost after the quit that freed its hardware slot.
-    const std::uint32_t n = cap_->add_node(
-        static_cast<double>(now + spawn_cost), program->region());
-    cap_->add_edge(cap_spawn_parent_, obs::DepKind::kSpawn,
-                   obs::DepKind::kSpawn, static_cast<double>(spawn_cost));
-    if (cap_spawn_via_ != obs::DepGraph::kNoNode)
-      cap_->add_edge(cap_spawn_via_, obs::DepKind::kSpawn,
-                     obs::DepKind::kSpawn, static_cast<double>(spawn_cost));
-    cap_streams_.resize(streams_.size());
-    cap_streams_[static_cast<std::size_t>(sid)] =
-        CapStream{n, 0, program->region()};
-  }
 
   (software ? obs_.spawns_sw : obs_.spawns_hw)->add();
   if (obs_.sink != nullptr) {
@@ -367,32 +321,6 @@ void Machine::complete_memory_op(StreamId sid, std::uint64_t now,
       now + static_cast<std::uint64_t>(config_.issue_spacing_cycles);
   const auto lookahead = static_cast<std::size_t>(config_.lookahead);
   if (lookahead == 0) {
-    if (cap_ != nullptr) {
-      // Wake node: the stream resumes after both the issue-spacing window
-      // and the network round trip. The trip splits into the scalable
-      // latency (knob: memory_latency) and the fixed queueing remainder;
-      // full/empty trips keep sync attribution but still scale with the
-      // latency knob (cap_memory_kind_ set at the issuing instruction).
-      // Hand-off resumes (sid != the issuing stream) hang off the
-      // producer's issue node, plus a zero-weight edge from the waiter's
-      // own blocked attempt so projections that shrink the producer chain
-      // cannot predict a resume before the waiter even asked.
-      const double latency =
-          static_cast<double>(config_.memory_latency_cycles);
-      CapStream& cs = cap_streams_[static_cast<std::size_t>(sid)];
-      const std::uint32_t v = cap_->add_node(
-          static_cast<double>(std::max(done, spacing)), cs.region);
-      cap_->add_edge(cap_cur_issue_, obs::DepKind::kCompute,
-                     obs::DepKind::kCompute,
-                     static_cast<double>(config_.issue_spacing_cycles));
-      cap_->add_edge(cap_cur_issue_, cap_memory_kind_, obs::DepKind::kMemory,
-                     latency, static_cast<double>(done - now) - latency);
-      if (cs.node != cap_cur_issue_)
-        cap_->add_edge(cs.node, obs::DepKind::kSync, obs::DepKind::kSync,
-                       0.0);
-      cs.node = v;
-      cs.pending = 0;
-    }
     // Fully dependent code: the stream waits for this operation. The wait
     // counts as a memory stall only past the issue-spacing window it would
     // have sat out anyway.
@@ -456,10 +384,6 @@ void Machine::finish_stream(StreamId sid, std::uint64_t now) {
   if (!pending_.empty()) {
     const PendingSpawn ps = pending_.front();
     pending_.pop();
-    if (cap_ != nullptr) {
-      cap_spawn_parent_ = ps.cap_parent;
-      cap_spawn_via_ = cap_streams_[static_cast<std::size_t>(sid)].node;
-    }
     activate(ps.program, ps.software, now);
   }
 }
@@ -481,8 +405,6 @@ void Machine::issue(StreamId sid, std::uint64_t now) {
       ++issued_compute_;
       TC3I_ASSERT(s.cur.count > 0);
       if (--s.cur.count == 0) s.has_cur = false;
-      if (cap_ != nullptr)
-        ++cap_streams_[static_cast<std::size_t>(sid)].pending;
       push_wake(spacing, sid, StallReason::kSpacing);
       break;
     }
@@ -490,7 +412,6 @@ void Machine::issue(StreamId sid, std::uint64_t now) {
       ++issued_memory_;
       TC3I_ASSERT(s.cur.count > 0);
       if (--s.cur.count == 0) s.has_cur = false;
-      if (cap_ != nullptr) cap_issue_node(sid, now, obs::DepKind::kMemory);
       complete_memory_op(sid, now, s.cur.addr);
       break;
     }
@@ -499,14 +420,12 @@ void Machine::issue(StreamId sid, std::uint64_t now) {
       memory_.store(s.cur.addr, s.cur.value);
       TC3I_ASSERT(s.cur.count > 0);
       if (--s.cur.count == 0) s.has_cur = false;
-      if (cap_ != nullptr) cap_issue_node(sid, now, obs::DepKind::kMemory);
       complete_memory_op(sid, now, s.cur.addr);
       break;
     }
     case Instr::Op::SyncLoad: {
       ++issued_sync_;
       s.has_cur = false;
-      if (cap_ != nullptr) cap_issue_node(sid, now, obs::DepKind::kSync);
       const SyncAttempt a = memory_.try_sync_load(s.cur.addr, sid);
       if (a.succeeded) {
         s.program->deliver(a.value);
@@ -525,7 +444,6 @@ void Machine::issue(StreamId sid, std::uint64_t now) {
     case Instr::Op::SyncStore: {
       ++issued_sync_;
       s.has_cur = false;
-      if (cap_ != nullptr) cap_issue_node(sid, now, obs::DepKind::kSync);
       const SyncAttempt a = memory_.try_sync_store(s.cur.addr, s.cur.value, sid);
       if (a.succeeded) {
         complete_memory_op(sid, now, s.cur.addr);
@@ -546,12 +464,6 @@ void Machine::issue(StreamId sid, std::uint64_t now) {
       const bool software = s.cur.software_spawn;
       s.has_cur = false;
       TC3I_ASSERT(target != nullptr);
-      if (cap_ != nullptr) {
-        cap_spawn_parent_ = cap_issue_node(sid, now, obs::DepKind::kSpawn);
-        cap_spawn_via_ = obs::DepGraph::kNoNode;
-        // The spawn instruction itself occupies one issue-spacing window.
-        cap_streams_[static_cast<std::size_t>(sid)].pending = 1;
-      }
       if (free_slots_ > 0) {
         activate(target, software, now);
       } else {
@@ -560,16 +472,13 @@ void Machine::issue(StreamId sid, std::uint64_t now) {
           obs_.sink->instant(obs::Category::Sync, "stream_virtualized",
                              ts_us(now), obs_.pid,
                              static_cast<std::uint64_t>(sid));
-        pending_.push(PendingSpawn{target, software, cap_spawn_parent_});
+        pending_.push(PendingSpawn{target, software});
       }
       push_wake(spacing, sid, StallReason::kSpacing);
       break;
     }
     case Instr::Op::Quit: {
       s.has_cur = false;
-      // Quit node: flushes the stream's trailing compute run; doubles as
-      // the cap_spawn_via_ link when this quit unblocks a pending spawn.
-      if (cap_ != nullptr) cap_issue_node(sid, now, obs::DepKind::kCompute);
       finish_stream(sid, now);
       break;
     }
@@ -857,14 +766,12 @@ std::uint64_t Machine::run_fast_loop() {
   const std::uint64_t bucket = config_.timeline_bucket_cycles;
   const auto spacing =
       static_cast<std::uint64_t>(config_.issue_spacing_cycles);
-  // Solo fast-forward: with one ready stream machine-wide (and no tracing,
-  // timeline sampling, or dependency-graph capture observing individual
-  // instructions), whole instruction runs retire analytically. It only
-  // pays when no other wake is due within the stream's spacing window;
-  // otherwise run_solo would retire one instruction, as the generic loop
-  // does more cheaply.
-  const bool solo_ok =
-      !tracing && bucket == 0 && sample_period_ == 0 && cap_ == nullptr;
+  // Solo fast-forward: with one ready stream machine-wide (and no tracing
+  // or timeline sampling observing individual instructions), whole
+  // instruction runs retire analytically. It only pays when no other wake
+  // is due within the stream's spacing window; otherwise run_solo would
+  // retire one instruction, as the generic loop does more cheaply.
+  const bool solo_ok = !tracing && bucket == 0 && sample_period_ == 0;
   const auto solo_pays = [&] {
     return solo_ok && ready_count_ == 1 && next_wake() > now + spacing;
   };
@@ -1046,45 +953,11 @@ MtaRunResult Machine::finish_run(std::uint64_t now, std::uint64_t start_ns) {
     rec.regions = std::move(rollups);
     rec.elapsed_seconds = result.seconds;
     rec.utilization = result.processor_utilization;
-    cap_finish_run(now, &rec);
     obs_.records->add(std::move(rec));
-  } else {
-    cap_finish_run(now, nullptr);
   }
   obs_.run_wall_seconds->record(static_cast<double>(steady_ns() - start_ns) *
                                 1e-9);
   return result;
-}
-
-void Machine::cap_finish_run(std::uint64_t now, obs::RunRecord* rec) {
-  if (cap_ == nullptr) return;
-  // Run-end node: one cycle after the last quit (the cycle counter
-  // advances past the final issue on both simulation paths).
-  const std::uint32_t end = cap_->add_node(static_cast<double>(now));
-  for (const CapStream& cs : cap_streams_)
-    cap_->add_edge(cs.node, obs::DepKind::kCompute, obs::DepKind::kCompute,
-                   1.0);
-  cap_->end_node = end;
-  cap_->total = static_cast<double>(now);
-  // Throughput bounds the dependency path cannot see: the busiest
-  // processor's issue slots (one instruction per cycle) and the shared
-  // network's total service time. Neither scales with a what-if knob —
-  // halving memory latency does not add network bandwidth.
-  std::uint64_t max_issues = 0;
-  for (const auto& p : procs_) max_issues = std::max(max_issues, p.issues());
-  cap_->resources.push_back(obs::DepResource{
-      "issue", obs::DepKind::kCompute, false,
-      static_cast<double>(max_issues)});
-  cap_->resources.push_back(obs::DepResource{
-      "network", obs::DepKind::kMemory, false,
-      static_cast<double>(memory_ops_) *
-          (static_cast<double>(service_fp_) / static_cast<double>(kFpOne))});
-  for (std::size_t rid = 0; rid < region_tallies_.size(); ++rid)
-    cap_->region_names.push_back(region_name(static_cast<int>(rid)));
-  if (rec != nullptr) rec->critical_path = obs::summarize(*cap_);
-  cap_store_->add(std::move(*cap_graph_));
-  cap_graph_.reset();
-  cap_ = nullptr;
 }
 
 }  // namespace tc3i::mta

@@ -42,13 +42,6 @@ struct VerdictThresholds {
   /// Sync-blocked slot share at or above which dominant sync waits become
   /// sync-limited.
   double sync_share = 0.10;
-  /// Critical-path-only: full/empty hand-off share of the path at or above
-  /// which a run the issue/network bounds don't explain counts as
-  /// sync-limited. Low on purpose — blocked waiters resume off their
-  /// producers' chains, so cascades surface only as the small kSync
-  /// crossings between streams (the slot account sees the blocked share
-  /// directly; this keeps the two views agreeing on the paper tables).
-  double sync_path_share = 0.02;
   /// SMP: bus occupancy at or above which a run is bus-limited.
   double bus_share = 0.85;
   /// SMP: lock-wait share of processor capacity at or above which a run is
@@ -68,22 +61,6 @@ struct VerdictThresholds {
 /// One-line human summary of the shares behind classify()'s decision, e.g.
 /// "slots: used 91.2% | no-stream 0.0% | spacing 5.1% | ...; network 71%".
 [[nodiscard]] std::string explain(const RunRecord& record);
-
-/// Classifies one run from its critical-path summary instead of the slot
-/// account (tools/bottleneck_report --critical-path). The rules mirror
-/// classify() so both views reach the same verdict on the paper tables:
-/// "mta" — the "issue"/"network" resource bounds stand in for used-slot
-/// share and network utilization, the path's sync share for the
-/// sync-blocked slot share; "smp" — the "bus" bound for bus occupancy and
-/// the path's sync share for the lock-wait share. Returns
-/// kParallelismLimited when the summary is absent/empty.
-[[nodiscard]] Verdict classify_critical_path(
-    const CritPathSummary& cp, const std::string& model,
-    const VerdictThresholds& thresholds = {});
-
-/// One-line summary of the critical-path shares behind
-/// classify_critical_path()'s decision.
-[[nodiscard]] std::string explain_critical_path(const CritPathSummary& cp);
 
 /// Folds several runs of the same model into one aggregate record (slot
 /// accounts and cycles sum; utilizations recomputed from the sums for

@@ -2,9 +2,9 @@
 // writes to.
 //
 // One obs::Context names everything the machine models, the sweep runner
-// and the sthreads runtime feed: the counter registry, the run-record,
-// timeline and critical-path stores, the scenario label, the trace sink
-// and the sweep-scheduler store. A thread sees the context of its
+// and the sthreads runtime feed: the counter registry, the run-record
+// and timeline stores, the scenario label, the trace sink and the
+// sweep-scheduler store. A thread sees the context of its
 // innermost ScopedContext, or the process default (the process-wide
 // registry and nothing else) when none is installed. Besides ScopedScenarioLabel, three parties install one:
 //   - RunSession, for the binary's lifetime, with the stores its flags ask
@@ -22,7 +22,6 @@
 namespace tc3i::obs {
 
 class CounterRegistry;
-class CritPathStore;
 class RunRecordStore;
 class SweepSchedStore;
 class TimelineStore;
@@ -35,7 +34,6 @@ struct Context {
   TimelineStore* timeline = nullptr;    ///< sampled machine timelines
 
   // Shared with forks.
-  CritPathStore* critpath = nullptr;  ///< dependency-graph capture
   /// Workload scenario RunRecordStore::add stamps into RunRecord::scenario
   /// ("" when none; set through ScopedScenarioLabel).
   std::string scenario;

@@ -5,10 +5,11 @@
 // of the counter registry, and serializes it as JSON (schema below) so
 // result trajectories can be produced and diffed mechanically.
 //
-// Schema (schema_version 6; version 1 lacked "machine_runs", version 2
-// lacked the optional per-run "critical_path" section, version 5 carried
-// an "anomalies" array that version 6 dropped — 4 is skipped so RunReport
-// and SweepReport share one version number from v5 on):
+// Schema (schema_version 6; version 1 lacked "machine_runs", versions 3
+// to 5 could carry an optional per-run dependency-path section and
+// version 5 an "anomalies" array — version 6 writes neither, and readers
+// ignore both as unknown members; 4 is skipped so RunReport and
+// SweepReport share one version number from v5 on):
 //   {
 //     "bench": "<name>", "schema_version": 6,
 //     "config": { "<key>": "<value>", ... },
@@ -31,15 +32,6 @@
 //   { "model":"smp", "name":..., "processors":p, "threads":t,
 //     "elapsed_seconds":e, "utilization":u, "bus_utilization":b,
 //     "lock_wait_share":l }
-// A run captured under --critpath additionally carries
-//   "critical_path": { "unit", "total", "path_length", "resource_bound",
-//     "binding_resource", "coverage", "nodes", "edges",
-//     "attribution": {"compute","memory","sync","spawn","queue","gap"},
-//     "resources": [ {"name","bound"} ], "regions": [ {"name","weight"} ],
-//     "projections": [ {"knob","factor","predicted"} ] }
-// and "sthreads" runs (wall-clock host captures from the c3ipbs driver)
-// carry only model/name/processors/threads/utilization, elapsed_seconds,
-// and critical_path.
 #pragma once
 
 #include <ostream>

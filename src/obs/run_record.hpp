@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "obs/context.hpp"
-#include "obs/critpath.hpp"
 
 namespace tc3i::obs {
 
@@ -69,7 +68,7 @@ struct RegionRollup {
 /// "smp" fills elapsed_seconds/bus_utilization/lock_wait_share (with
 /// `utilization` holding the compute-capacity share).
 struct RunRecord {
-  std::string model;  ///< "mta", "smp", or "sthreads"
+  std::string model;  ///< "mta" or "smp"
   std::string name;   ///< machine config name
   /// Workload scenario the run belonged to, taken from the calling
   /// thread's obs::Context (ScopedScenarioLabel) when the record is added
@@ -93,11 +92,6 @@ struct RunRecord {
 
   /// Both models: fraction of issue/compute capacity actually used.
   double utilization = 0.0;
-
-  /// Critical-path attribution and what-if projections, filled only when
-  /// the run was captured under --critpath (present == false otherwise).
-  /// "sthreads" model records carry only this plus elapsed_seconds.
-  CritPathSummary critical_path;
 
   /// Memberwise equality — what the report writer's run-length encoding of
   /// repeated machine_runs records (the "reps" field) relies on.

@@ -46,10 +46,6 @@ void RunSession::add_cli_flags(CliParser& cli) {
   cli.add_flag("jobs", "0",
                "host threads for independent simulation points "
                "(0 = hardware concurrency; incompatible with --trace-out)");
-  cli.add_flag("critpath", "false",
-               "capture per-run dependency graphs and attach critical-path "
-               "attribution + what-if projections to machine runs "
-               "(bare --critpath or --critpath true)");
   cli.add_flag("sweep-report-out", "",
                "aggregate all machine runs into a SweepReport JSON "
                "(schema v6: per-group rollups, quantiles, outliers, "
@@ -116,10 +112,6 @@ RunSession::RunSession(std::string name, const CliParser& cli)
   }
   records_ = std::make_unique<RunRecordStore>();
   ctx.records = records_.get();
-  if (cli.get_bool("critpath")) {
-    critpath_ = std::make_unique<CritPathStore>(/*retain_graphs=*/false);
-    ctx.critpath = critpath_.get();
-  }
   if (!sweep_report_path_.empty() || !sweep_trace_path_.empty()) {
     sched_ = std::make_unique<SweepSchedStore>();
     ctx.sched = sched_.get();

@@ -7,8 +7,6 @@
 //   --sample-period <n>   simulated cycles per timeline sample (default 4096)
 //   --counters            dump the counter registry to stdout at exit
 //                         (bare flag; `--counters true` also accepted)
-//   --critpath            capture per-run dependency graphs; RunRecords
-//                         gain a critical_path section (bare flag)
 //   --sweep-report-out <path>  aggregate every machine run into a
 //                         SweepReport JSON (schema v6: per-group rollups,
 //                         quantile sketches, outlier runs, host-resource
@@ -28,8 +26,8 @@
 //                         value.
 //
 // Construction builds one obs::Context (context.hpp) naming the stores its
-// flags ask for — trace sink, run records (always), timeline, critical-path
-// store, sweep-scheduler store — and installs it on the constructing
+// flags ask for — trace sink, run records (always), timeline,
+// sweep-scheduler store — and installs it on the constructing
 // thread for the session's lifetime. Threads started through
 // sthreads::Thread inherit it, and sim::run_sweep forks it per point at
 // --jobs > 1 and merges the forks back in submission order, so every
@@ -46,7 +44,6 @@
 
 #include "core/cli.hpp"
 #include "obs/context.hpp"
-#include "obs/critpath.hpp"
 #include "obs/hostres.hpp"
 #include "obs/report.hpp"
 #include "obs/run_record.hpp"
@@ -77,10 +74,6 @@ class RunSession {
   [[nodiscard]] RunRecordStore& run_records() { return *records_; }
   /// Non-null iff --timeline-out was given.
   [[nodiscard]] TimelineStore* timeline() { return timeline_.get(); }
-  /// Non-null iff --critpath was given (machine models then capture
-  /// dependency graphs; summaries land in the RunRecords, the graphs
-  /// themselves are not retained).
-  [[nodiscard]] CritPathStore* critpath() { return critpath_.get(); }
   /// Non-null iff --sweep-report-out or --sweep-trace-out was given
   /// (sim::run_sweep feeds it one span per point).
   [[nodiscard]] SweepSchedStore* sweep_sched() { return sched_.get(); }
@@ -107,7 +100,6 @@ class RunSession {
   std::unique_ptr<TraceSink> sink_;
   std::unique_ptr<RunRecordStore> records_;
   std::unique_ptr<TimelineStore> timeline_;
-  std::unique_ptr<CritPathStore> critpath_;
   std::unique_ptr<SweepSchedStore> sched_;
   HostResUsage host_begin_;
   RunReport report_;

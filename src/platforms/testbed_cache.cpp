@@ -23,7 +23,7 @@ namespace terrain = c3i::terrain;
 constexpr std::uint32_t kFormatVersion = 2;
 constexpr char kMagic[8] = {'T', 'C', '3', 'I', 'T', 'B', 'C', '\0'};
 
-// --- fingerprint (FNV-1a over every scenario field) --------------------------
+// --- fingerprint (FNV-1a over the code identity and every scenario field) ----
 
 struct Fnv {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -41,9 +41,10 @@ struct Fnv {
   }
 };
 
-std::uint64_t fingerprint(const TestbedScenarios& s) {
+std::uint64_t fingerprint(const TestbedScenarios& s, std::uint64_t identity) {
   Fnv f;
   f.u64(kFormatVersion);
+  f.u64(identity);
   const auto threat_scenario = [&f](const threat::Scenario& sc) {
     f.str(sc.name);
     f.f64(sc.dt);
@@ -283,9 +284,15 @@ void try_save(const fs::path& path, std::uint64_t fp,
 
 }  // namespace
 
+std::uint64_t code_identity() { return TC3I_CODE_IDENTITY; }
+
 Testbed load_or_build_testbed() {
+  return load_or_build_testbed(code_identity());
+}
+
+Testbed load_or_build_testbed(std::uint64_t identity) {
   const TestbedScenarios scenarios = testbed_scenarios();
-  const std::uint64_t fp = fingerprint(scenarios);
+  const std::uint64_t fp = fingerprint(scenarios, identity);
   const fs::path path = cache_file_path(fp);
   // Hit/miss counters feed the SweepReport host section: a sweep that
   // suddenly spends seconds in kernel profiling shows up as misses there

@@ -8,8 +8,8 @@
 // Fork and merge rule: with jobs > 1 every point runs under its own
 // obs::ContextFork of the caller's obs::Context — a fresh counter registry
 // and, where the caller collects them, fresh run-record and timeline
-// stores; the critical-path store, scenario label, trace sink and
-// scheduler store are shared. Any sthreads the point spawns inherit its
+// stores; the scenario label, trace sink and scheduler store are
+// shared. Any sthreads the point spawns inherit its
 // forked context. After every point has finished, the forks are merged
 // into the caller's context in submission order: counters sum, gauges keep
 // the last-submitted point's value, histograms merge, records and

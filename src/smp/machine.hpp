@@ -18,7 +18,6 @@
 
 #include "core/units.hpp"
 #include "obs/counters.hpp"
-#include "obs/critpath.hpp"
 #include "sim/trace.hpp"
 #include "smp/config.hpp"
 #include "smp/workload.hpp"
@@ -49,7 +48,6 @@ struct ObsHooks {
   obs::TraceSink* sink = nullptr;
   obs::RunRecordStore* records = nullptr;
   obs::TimelineStore* timeline = nullptr;
-  obs::CritPathStore* critpath = nullptr;
   std::uint32_t pid = 0;
 };
 

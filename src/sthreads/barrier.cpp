@@ -15,26 +15,16 @@ bool Barrier::arrive_and_wait() {
   static obs::Counter& generations =
       obs::default_registry().counter("sthreads.barrier.generations");
   arrivals.add();
-  const bool capturing = cap::enabled();
   std::unique_lock<std::mutex> lock(mu_);
   const unsigned long gen = generation_;
-  if (capturing) cap_arrivals_.push_back(cap::checkpoint());
   if (++waiting_ == parties_) {
     ++generation_;
     waiting_ = 0;
     generations.add();
-    if (capturing) {
-      // The release depends on every arrival of this generation; waiters
-      // woken below hang their resume events off it.
-      cap::sync_event_multi(cap_arrivals_.data(), cap_arrivals_.size(),
-                            &cap_release_);
-      cap_arrivals_.clear();
-    }
     cv_.notify_all();
     return true;
   }
   cv_.wait(lock, [&] { return generation_ != gen; });
-  if (capturing) cap::sync_event(&cap_release_, nullptr);
   return false;
 }
 

@@ -4,9 +4,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <vector>
-
-#include "sthreads/critpath.hpp"
 
 namespace tc3i::sthreads {
 
@@ -27,8 +24,6 @@ class Barrier {
   int parties_;
   int waiting_ = 0;
   unsigned long generation_ = 0;
-  std::vector<cap::NodeRef> cap_arrivals_;  ///< this generation's arrivals
-  cap::NodeRef cap_release_;  ///< release node (depends on all arrivals)
 };
 
 }  // namespace tc3i::sthreads

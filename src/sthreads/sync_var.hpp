@@ -13,8 +13,6 @@
 #include <optional>
 #include <utility>
 
-#include "sthreads/critpath.hpp"
-
 namespace tc3i::sthreads {
 
 template <typename T>
@@ -30,26 +28,18 @@ class SyncVar {
 
   /// Blocks until EMPTY, writes, marks FULL.
   void put(T value) {
-    const bool capturing = cap::enabled();
-    if (capturing) cap::wait_begin();
     std::unique_lock<std::mutex> lock(mu_);
     cv_empty_.wait(lock, [&] { return !full_; });
     value_ = std::move(value);
     full_ = true;
-    // The fill depends on whatever emptied the cell; later takes/reads
-    // depend on this fill.
-    if (capturing) cap::sync_event(&cap_empty_, &cap_fill_);
     cv_full_.notify_one();
   }
 
   /// Blocks until FULL, reads, marks EMPTY.
   T take() {
-    const bool capturing = cap::enabled();
-    if (capturing) cap::wait_begin();
     std::unique_lock<std::mutex> lock(mu_);
     cv_full_.wait(lock, [&] { return full_; });
     full_ = false;
-    if (capturing) cap::sync_event(&cap_fill_, &cap_empty_);
     cv_empty_.notify_one();
     return std::move(value_);
   }
@@ -57,11 +47,8 @@ class SyncVar {
   /// Blocks until FULL, reads without emptying (Tera's future-touch reads
   /// leave the cell full for other readers).
   T read() {
-    const bool capturing = cap::enabled();
-    if (capturing) cap::wait_begin();
     std::unique_lock<std::mutex> lock(mu_);
     cv_full_.wait(lock, [&] { return full_; });
-    if (capturing) cap::sync_event(&cap_fill_, nullptr);
     return value_;
   }
 
@@ -70,10 +57,6 @@ class SyncVar {
     std::lock_guard<std::mutex> lock(mu_);
     if (!full_) return std::nullopt;
     full_ = false;
-    if (cap::enabled()) {
-      cap::wait_begin();
-      cap::sync_event(&cap_fill_, &cap_empty_);
-    }
     cv_empty_.notify_one();
     return std::move(value_);
   }
@@ -84,10 +67,6 @@ class SyncVar {
     if (full_) return false;
     value_ = std::move(value);
     full_ = true;
-    if (cap::enabled()) {
-      cap::wait_begin();
-      cap::sync_event(&cap_empty_, &cap_fill_);
-    }
     cv_full_.notify_one();
     return true;
   }
@@ -97,15 +76,10 @@ class SyncVar {
   /// fetch-op-store idiom), refills, returns the *previous* value.
   template <typename F>
   T update(F&& f) {
-    const bool capturing = cap::enabled();
-    if (capturing) cap::wait_begin();
     std::unique_lock<std::mutex> lock(mu_);
     cv_full_.wait(lock, [&] { return full_; });
     T previous = value_;
     f(value_);
-    // A serializing RMW: it depends on the previous fill and becomes the
-    // fill the next toucher depends on.
-    if (capturing) cap::sync_event(&cap_fill_, &cap_fill_);
     cv_full_.notify_one();  // still full; wake readers racing on state
     return previous;
   }
@@ -121,8 +95,6 @@ class SyncVar {
   std::condition_variable cv_empty_;
   T value_{};
   bool full_ = false;
-  cap::NodeRef cap_fill_;   ///< event that last made the cell FULL
-  cap::NodeRef cap_empty_;  ///< event that last made the cell EMPTY
 };
 
 /// A shared counter with MTA-counter semantics: fetch_add is one atomic
@@ -140,7 +112,6 @@ class SyncCounter {
  private:
   mutable std::mutex mu_;
   long value_;
-  cap::NodeRef cap_last_;  ///< previous fetch_add (they serialize)
 };
 
 }  // namespace tc3i::sthreads

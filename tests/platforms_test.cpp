@@ -244,5 +244,45 @@ TEST(TestbedCache, CorruptFileIsAMissAndRebuildsTheTestbed) {
   fs::remove_all(dir);
 }
 
+TEST(TestbedCache, OtherCodeIdentityMissesAndRebuildsTheTestbed) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "tc3i_cache_identity";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  ASSERT_EQ(::setenv("TC3I_TESTBED_CACHE", dir.c_str(), /*overwrite=*/1), 0);
+
+  obs::CounterRegistry registry;
+  obs::Context ctx = obs::current_context();
+  ctx.registry = &registry;
+  const obs::ScopedContext scope(ctx);
+  obs::Counter& hits = registry.counter("testbed.cache.hit");
+  obs::Counter& misses = registry.counter("testbed.cache.miss");
+  const auto files = [&dir] {
+    std::size_t n = 0;
+    for (const auto& e : fs::directory_iterator(dir)) n += e.is_regular_file();
+    return n;
+  };
+
+  const Testbed reference = build_testbed();
+  (void)load_or_build_testbed();  // this build's identity: writes a file
+  expect_same_profiles(load_or_build_testbed(code_identity()), reference);
+  EXPECT_EQ(misses.value(), 1u);
+  EXPECT_EQ(hits.value(), 1u);
+  EXPECT_EQ(files(), 1u);
+
+  // Same scenarios, sources of another build: the entry cached under this
+  // build's identity must not be served.
+  const std::uint64_t other = code_identity() ^ 1u;
+  expect_same_profiles(load_or_build_testbed(other), reference);
+  EXPECT_EQ(misses.value(), 2u);
+  EXPECT_EQ(hits.value(), 1u);
+  EXPECT_EQ(files(), 2u);  // a second entry beside the first
+  expect_same_profiles(load_or_build_testbed(other), reference);
+  EXPECT_EQ(hits.value(), 2u);
+
+  ::unsetenv("TC3I_TESTBED_CACHE");
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace tc3i::platforms

@@ -9,7 +9,7 @@
 
 #include "obs/context.hpp"
 #include "obs/counters.hpp"
-#include "obs/critpath.hpp"
+#include "obs/hostres.hpp"
 #include "obs/run_record.hpp"
 #include "sthreads/thread.hpp"
 
@@ -176,10 +176,10 @@ TEST(ScopedContext, NestsAndRestores) {
 
 TEST(ContextFork, FreshPerPointStoresSharedRest) {
   obs::RunRecordStore records;
-  obs::CritPathStore critpath;
+  obs::SweepSchedStore sched;
   obs::Context parent = obs::current_context();
   parent.records = &records;
-  parent.critpath = &critpath;
+  parent.sched = &sched;
   parent.scenario = "threat";
   const obs::ContextFork fork(parent);
   const obs::Context& ctx = fork.context();
@@ -187,7 +187,7 @@ TEST(ContextFork, FreshPerPointStoresSharedRest) {
   EXPECT_NE(ctx.records, nullptr);
   EXPECT_NE(ctx.records, parent.records);
   EXPECT_EQ(ctx.timeline, nullptr);  // the parent collects no timelines
-  EXPECT_EQ(ctx.critpath, &critpath);
+  EXPECT_EQ(ctx.sched, &sched);
   EXPECT_EQ(ctx.scenario, "threat");
 
   obs::CounterRegistry caller;

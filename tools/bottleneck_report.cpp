@@ -1,6 +1,6 @@
 // Bottleneck verdicts from a RunReport JSON.
 //
-//   bottleneck_report [--critical-path] report.json [report2.json ...]
+//   bottleneck_report report.json [report2.json ...]
 //
 // For every machine run recorded in each report's "machine_runs" array,
 // prints one `verdict` line naming the limiting resource in the paper's
@@ -10,12 +10,6 @@
 // Exits 0 when every report parses and contains at least one machine run,
 // 1 otherwise. Thresholds are the obs::VerdictThresholds defaults,
 // documented in docs/OBSERVABILITY.md.
-//
-// With --critical-path the verdicts are derived from each run's
-// "critical_path" section (reports written under --critpath) instead of
-// the slot account; runs without one are skipped, and having none at all
-// is an error. On the paper-table workloads both views must agree — the
-// critpath step of scripts/check.sh asserts it.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -28,7 +22,7 @@
 
 namespace {
 
-int process_report(const char* path, bool critical_path_mode) {
+int process_report(const char* path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "%s: cannot open\n", path);
@@ -52,28 +46,6 @@ int process_report(const char* path, bool critical_path_mode) {
                  "under a schema-version >= 2 build)\n", path);
     return 1;
   }
-  if (critical_path_mode) {
-    std::size_t classified = 0;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const tc3i::obs::RunRecord& r = runs[i];
-      if (!r.critical_path.present) continue;
-      ++classified;
-      std::printf("verdict run=%zu model=%s name=%s: %s\n", i,
-                  r.model.c_str(), r.name.c_str(),
-                  tc3i::obs::verdict_name(tc3i::obs::classify_critical_path(
-                      r.critical_path, r.model)));
-      std::printf("    %s\n",
-                  tc3i::obs::explain_critical_path(r.critical_path).c_str());
-    }
-    if (classified == 0) {
-      std::fprintf(stderr,
-                   "%s: no critical_path sections (re-run the bench with "
-                   "--critpath)\n",
-                   path);
-      return 1;
-    }
-    return 0;
-  }
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const tc3i::obs::RunRecord& r = runs[i];
     std::printf("verdict run=%zu model=%s name=%s: %s\n", i, r.model.c_str(),
@@ -95,21 +67,11 @@ int process_report(const char* path, bool critical_path_mode) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool critical_path_mode = false;
-  int first_path = 1;
-  if (first_path < argc && std::string(argv[first_path]) == "--critical-path") {
-    critical_path_mode = true;
-    ++first_path;
-  }
-  if (first_path >= argc) {
-    std::fprintf(
-        stderr,
-        "usage: bottleneck_report [--critical-path] <report.json> [...]\n");
+  if (argc < 2) {
+    std::fprintf(stderr, "usage: bottleneck_report <report.json> [...]\n");
     return 2;
   }
   int failures = 0;
-  for (int i = first_path; i < argc; ++i) {
-    failures += process_report(argv[i], critical_path_mode);
-  }
+  for (int i = 1; i < argc; ++i) failures += process_report(argv[i]);
   return failures == 0 ? 0 : 1;
 }

@@ -9,12 +9,12 @@
 // (rel-tol 0, abs-tol 0), which makes `report_diff r.json r.json` a
 // determinism check. An object member present in only one report is a
 // difference like any other — in particular a "machine_runs" array (or a
-// per-run "critical_path" section) one report has and the other lacks is
+// per-run "slots" section) one report has and the other lacks is
 // reported, with the array's length for context, never silently skipped.
 // `--ignore` (repeatable) drops every difference whose path starts with
 // the given prefix (e.g. `--ignore config.host`) or that contains it as a
-// path component — `--ignore critical_path` also drops
-// `machine_runs[3].critical_path.total`. SweepReport "groups" arrays
+// path component — `--ignore slots` also drops
+// `machine_runs[3].slots.used`. SweepReport "groups" arrays
 // (--sweep-report-out, schema v4) are diffed group-wise: entries are
 // matched by their (model, name, scenario, processors) key instead of
 // array position, so two sweeps that enumerated the same points in a
@@ -48,8 +48,8 @@ struct Options {
 
 /// True when `pattern` matches `path` for --ignore purposes: a literal
 /// prefix, or a whole path component anywhere in the path (so a bare
-/// member name like "critical_path" also matches
-/// "machine_runs[3].critical_path.total"). Component boundaries are the
+/// member name like "slots" also matches
+/// "machine_runs[3].slots.used"). Component boundaries are the
 /// start/end of the path and the '.'/'[' separators.
 bool ignore_matches(const std::string& path, const std::string& pattern) {
   if (pattern.empty()) return false;
@@ -69,7 +69,7 @@ bool ignore_matches(const std::string& path, const std::string& pattern) {
 
 /// Context appended to "only in first/second report" messages so a whole
 /// section appearing on one side (e.g. "machine_runs" from a newer-schema
-/// report, or "critical_path" from a --critpath run) is visibly an array
+/// report, or "anomalies" from a v5 report) is visibly an array
 /// or object presence difference, not a stray scalar.
 std::string presence_detail(const JsonValue& v) {
   switch (v.kind) {
