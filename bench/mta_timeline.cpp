@@ -4,6 +4,7 @@
 // fine-grained Terrain Masking shows the per-ring barrier valleys that
 // keep its average utilization well below 1 (Table 11's story).
 #include <iostream>
+#include <vector>
 
 #include "core/chart.hpp"
 #include "harness.hpp"
@@ -39,35 +40,29 @@ int main(int argc, char** argv) {
   const auto& tb = bench::testbed();
   constexpr std::uint64_t kBucket = 10'000;
 
-  {
-    mta::MtaConfig cfg = platforms::make_mta_config(1);
-    cfg.timeline_bucket_cycles = kBucket;
-    mta::Machine machine(cfg);
-    mta::ProgramPool pool;
-    c3i::threat::build_mta_chunked(pool, machine, tb.threat_profile_scaled,
-                                   256, tb.threat_costs_scaled);
-    plot("Threat Analysis, 256 chunks, 1 processor", machine.run(), kBucket);
-  }
-  {
-    mta::MtaConfig cfg = platforms::make_mta_config(1);
-    cfg.timeline_bucket_cycles = kBucket;
-    mta::Machine machine(cfg);
-    mta::ProgramPool pool;
-    c3i::terrain::build_mta_finegrained(pool, machine,
-                                        tb.terrain_profile_scaled,
-                                        tb.terrain_costs_scaled);
-    plot("Terrain Masking, fine-grained, 1 processor", machine.run(), kBucket);
-  }
-  {
-    mta::MtaConfig cfg = platforms::make_mta_config(1);
-    cfg.timeline_bucket_cycles = kBucket;
-    mta::Machine machine(cfg);
-    mta::ProgramPool pool;
-    c3i::threat::build_mta_chunked(pool, machine, tb.threat_profile_scaled, 8,
-                                   tb.threat_costs_scaled);
-    plot("Threat Analysis, only 8 chunks (starved), 1 processor",
-         machine.run(), kBucket);
-  }
+  // The three runs are sweep points; the plots render afterwards in order.
+  const std::vector<mta::MtaRunResult> runs =
+      sim::run_sweep(3, session.jobs(), [&](std::size_t i) {
+        mta::MtaConfig cfg = platforms::make_mta_config(1);
+        cfg.timeline_bucket_cycles = kBucket;
+        mta::Machine machine(cfg);
+        mta::ProgramPool pool;
+        if (i == 1) {
+          c3i::terrain::build_mta_finegrained(pool, machine,
+                                              tb.terrain_profile_scaled,
+                                              tb.terrain_costs_scaled);
+        } else {
+          c3i::threat::build_mta_chunked(pool, machine,
+                                         tb.threat_profile_scaled,
+                                         i == 0 ? 256 : 8,
+                                         tb.threat_costs_scaled);
+        }
+        return machine.run();
+      });
+  plot("Threat Analysis, 256 chunks, 1 processor", runs[0], kBucket);
+  plot("Terrain Masking, fine-grained, 1 processor", runs[1], kBucket);
+  plot("Threat Analysis, only 8 chunks (starved), 1 processor", runs[2],
+       kBucket);
   std::cout << "Reading: 256 chunks saturate the processor until the tail; "
                "the fine-grained terrain\nschedule oscillates with ring "
                "barriers; 8 chunks never get above ~8/21 of the\nissue "

@@ -101,6 +101,23 @@ echo "== report is --jobs invariant =="
     "$SMOKE_DIR/jobs3.json" --ignore mta.run.wall_seconds \
     >/dev/null ||
   { echo "FAIL: report changes between --jobs 1 and --jobs 3"; exit 1; }
+# mta_timeline sweeps its three runs: stdout (less the "[obs]" lines that
+# name the output files), sampled timeline and report must not depend on
+# the job count either.
+for j in 1 3; do
+  "$BUILD_DIR"/bench/mta_timeline --jobs "$j" \
+      --report-out "$SMOKE_DIR/tl_jobs$j.json" \
+      --timeline-out "$SMOKE_DIR/tl_jobs$j.csv" |
+    grep -v '^\[obs\] ' >"$SMOKE_DIR/tl_jobs$j.txt"
+done
+cmp -s "$SMOKE_DIR/tl_jobs1.txt" "$SMOKE_DIR/tl_jobs3.txt" ||
+  { echo "FAIL: mta_timeline stdout changes between --jobs 1 and 3"; exit 1; }
+cmp -s "$SMOKE_DIR/tl_jobs1.csv" "$SMOKE_DIR/tl_jobs3.csv" ||
+  { echo "FAIL: mta_timeline timeline changes between --jobs 1 and 3"; exit 1; }
+"$BUILD_DIR"/tools/report_diff "$SMOKE_DIR/tl_jobs1.json" \
+    "$SMOKE_DIR/tl_jobs3.json" --ignore mta.run.wall_seconds \
+    >/dev/null ||
+  { echo "FAIL: mta_timeline report changes between --jobs 1 and 3"; exit 1; }
 echo "report identical at --jobs 1 and --jobs 3"
 
 # Schema validation must actually reject: a minimal v6 report without the

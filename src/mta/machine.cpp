@@ -62,6 +62,9 @@ Machine::Machine(MtaConfig config)
   load_tracker_.init(config_.num_processors, config_.streams_per_processor);
   free_slots_ = config_.num_processors * config_.streams_per_processor;
   acct_.resize(static_cast<std::size_t>(config_.num_processors));
+  queues_.assign(static_cast<std::size_t>(config_.num_processors),
+                 IssueQueue(static_cast<std::size_t>(
+                     config_.streams_per_processor)));
 
   const obs::Context& ctx = obs::current_context();
   obs::CounterRegistry& reg = *ctx.registry;
@@ -100,65 +103,6 @@ Machine::Machine(MtaConfig config)
   }
 }
 
-void Machine::push_wake(std::uint64_t at, StreamId sid, StallReason why) {
-  Stream& s = streams_[static_cast<std::size_t>(sid)];
-  s.wait_reason = why;
-  ++acct_[static_cast<std::size_t>(s.proc)]
-        .waiting[static_cast<std::size_t>(why)];
-  if (slow_) {
-    heap_.push(Wake{at, sid});
-    return;
-  }
-  WakeLane& lane = lanes_[static_cast<std::size_t>(why)];
-  if (lane.accepts(at)) {
-    lane.push(Wake{at, sid, s.proc});
-  } else {
-    if (at < pushed_min_) pushed_min_ = at;
-    heap_.push(Wake{at, sid});
-  }
-}
-
-void Machine::deliver_due(std::uint64_t now, bool from_heap) {
-  due_.clear();
-  if (from_heap) {
-    while (heap_due() <= now) {
-      due_.push_back(heap_.top());
-      heap_.pop();
-    }
-  }
-  if (due_.empty()) {
-    if (lane_due() > now) return;
-    // Each lane is sorted, so its due wakes are a prefix. Usually only one
-    // lane has any: deliver that prefix as is.
-    std::size_t due_lanes = 0;
-    std::size_t r = 0;
-    for (std::size_t i = 0; i < kNumWakeLanes; ++i) {
-      if (lanes_[i].front_cycle() <= now) {
-        ++due_lanes;
-        r = i;
-      }
-    }
-    if (due_lanes == 1) {
-      WakeLane& lane = lanes_[r];
-      const auto why = static_cast<StallReason>(r);
-      do {
-        make_stream_ready(lane.front().stream, lane.front().proc, why);
-        lane.pop();
-      } while (lane.front_cycle() <= now);
-      return;
-    }
-  }
-  // Several sources are due: sort their wakes together.
-  for (WakeLane& lane : lanes_) {
-    while (lane.front_cycle() <= now) {
-      due_.push_back(lane.front());
-      lane.pop();
-    }
-  }
-  std::sort(due_.begin(), due_.end());
-  for (const Wake& w : due_) make_stream_ready(w.stream);
-}
-
 void Machine::park_sync(StreamId sid) {
   Stream& s = streams_[static_cast<std::size_t>(sid)];
   s.wait_reason = StallReason::kSync;
@@ -168,9 +112,9 @@ void Machine::park_sync(StreamId sid) {
 
 void Machine::runaway_abort(std::uint64_t now) const {
   std::array<std::uint64_t, kNumStallReasons> waiting{};
-  for (const ProcAcct& a : acct_)
+  for (int p = 0; p < config_.num_processors; ++p)
     for (std::size_t r = 0; r < kNumStallReasons; ++r)
-      waiting[r] += a.waiting[r];
+      waiting[r] += parked(p, static_cast<StallReason>(r));
   std::fprintf(
       stderr,
       "[mta] runaway guard: cycle %llu reached max_cycles %llu with "
@@ -191,47 +135,29 @@ void Machine::runaway_abort(std::uint64_t now) const {
 
 void Machine::make_stream_ready(StreamId sid) {
   const Stream& s = streams_[static_cast<std::size_t>(sid)];
-  make_stream_ready(sid, s.proc, s.wait_reason);
-}
-
-inline void Machine::make_stream_ready(StreamId sid, int proc,
-                                       StallReason why) {
-  --acct_[static_cast<std::size_t>(proc)]
-        .waiting[static_cast<std::size_t>(why)];
-  procs_[static_cast<std::size_t>(proc)].make_ready(sid);
+  --acct_[static_cast<std::size_t>(s.proc)]
+        .waiting[static_cast<std::size_t>(s.wait_reason)];
+  procs_[static_cast<std::size_t>(s.proc)].make_ready(sid);
   ++ready_count_;
 }
 
-void Machine::account_idle(int proc, std::uint64_t n) {
-  ProcAcct& a = acct_[static_cast<std::size_t>(proc)];
+[[gnu::always_inline]] inline void Machine::account_idle(int proc,
+                                                       std::uint64_t n) {
   if (procs_[static_cast<std::size_t>(proc)].live_streams() == 0) {
-    a.acct.no_stream += n;
+    acct_[static_cast<std::size_t>(proc)].acct.no_stream += n;
     return;
   }
   // Every live stream on an idle processor is parked; name the slot after
   // the highest-priority reason present.
-  if (a.waiting[static_cast<std::size_t>(StallReason::kSync)] > 0)
-    a.acct.sync += n;
-  else if (a.waiting[static_cast<std::size_t>(StallReason::kMemory)] > 0)
-    a.acct.memory += n;
-  else if (a.waiting[static_cast<std::size_t>(StallReason::kSpawn)] > 0)
-    a.acct.spawn += n;
+  obs::IssueSlotAccount& a = acct_[static_cast<std::size_t>(proc)].acct;
+  if (parked(proc, StallReason::kSync) > 0)
+    a.sync += n;
+  else if (parked(proc, StallReason::kMemory) > 0)
+    a.memory += n;
+  else if (parked(proc, StallReason::kSpawn) > 0)
+    a.spawn += n;
   else
-    a.acct.spacing += n;
-}
-
-void Machine::account_solo_idle(int proc, std::uint64_t n, StallReason solo) {
-  if (n == 0) return;
-  ProcAcct& a = acct_[static_cast<std::size_t>(proc)];
-  if (a.waiting[static_cast<std::size_t>(StallReason::kSync)] > 0)
-    a.acct.sync += n;
-  else if (a.waiting[static_cast<std::size_t>(StallReason::kMemory)] > 0 ||
-           solo == StallReason::kMemory)
-    a.acct.memory += n;
-  else if (a.waiting[static_cast<std::size_t>(StallReason::kSpawn)] > 0)
-    a.acct.spawn += n;
-  else
-    a.acct.spacing += n;
+    a.spacing += n;
 }
 
 void Machine::add_stream(StreamProgram* program) {
@@ -275,7 +201,11 @@ void Machine::activate(StreamProgram* program, bool software,
 
   const std::uint64_t spawn_cost = static_cast<std::uint64_t>(
       software ? config_.sw_spawn_cycles : config_.hw_spawn_cycles);
-  push_wake(now + spawn_cost, sid, StallReason::kSpawn);
+  // A stream spawned while cycle `now` is scanned issues at now + 1 at the
+  // earliest, even at zero spawn cost; an initial stream (added before
+  // run()) may issue at cycle 0.
+  push_wake(now + spawn_cost, sid, proc, StallReason::kSpawn,
+            ran_ ? now + 1 : 0);
 
   (software ? obs_.spawns_sw : obs_.spawns_hw)->add();
   if (obs_.sink != nullptr) {
@@ -314,7 +244,7 @@ std::uint64_t Machine::network_service(std::uint64_t now, Address addr) {
          kFpBits;
 }
 
-void Machine::complete_memory_op(StreamId sid, std::uint64_t now,
+void Machine::complete_memory_op(StreamId sid, int proc, std::uint64_t now,
                                  Address addr) {
   const std::uint64_t done = network_service(now, addr);
   const std::uint64_t spacing =
@@ -324,7 +254,7 @@ void Machine::complete_memory_op(StreamId sid, std::uint64_t now,
     // Fully dependent code: the stream waits for this operation. The wait
     // counts as a memory stall only past the issue-spacing window it would
     // have sat out anyway.
-    push_wake(std::max(done, spacing), sid,
+    push_wake(std::max(done, spacing), sid, proc,
               done > spacing ? StallReason::kMemory : StallReason::kSpacing);
     return;
   }
@@ -339,7 +269,7 @@ void Machine::complete_memory_op(StreamId sid, std::uint64_t now,
   std::uint64_t wake = spacing;
   if (outstanding.size() > lookahead)
     wake = std::max(wake, outstanding[outstanding.size() - 1 - lookahead]);
-  push_wake(wake, sid,
+  push_wake(wake, sid, proc,
             wake > spacing ? StallReason::kMemory : StallReason::kSpacing);
 }
 
@@ -357,7 +287,7 @@ void Machine::process_handoffs(std::uint64_t now) {
       obs_.sink->instant(obs::Category::Sync, "sync_unblock", ts_us(now),
                          obs_.pid, static_cast<std::uint64_t>(h.stream));
     // The queued operation completes now: one more trip through the network.
-    complete_memory_op(h.stream, now, h.addr);
+    complete_memory_op(h.stream, s.proc, now, h.addr);
   }
 }
 
@@ -388,9 +318,12 @@ void Machine::finish_stream(StreamId sid, std::uint64_t now) {
   }
 }
 
-void Machine::issue(StreamId sid, std::uint64_t now) {
+[[gnu::always_inline]] inline void Machine::issue(StreamId sid,
+                                                std::uint64_t now) {
   Stream& s = streams_[static_cast<std::size_t>(sid)];
   TC3I_ASSERT(!s.dead);
+  // Read before a spawn's activate() can reallocate streams_.
+  const int proc = s.proc;
   ++s.issued;
   if (!s.has_cur) fetch_next(s);
 
@@ -398,21 +331,21 @@ void Machine::issue(StreamId sid, std::uint64_t now) {
       now + static_cast<std::uint64_t>(config_.issue_spacing_cycles);
 
   // The per-processor issue counters already tally every instruction
-  // (pop_ready() increments them); instructions_ is derived from their sum
+  // (the loops increment them); instructions_ is derived from their sum
   // at the end of run() to keep this switch store-free beyond its tallies.
   switch (s.cur.op) {
     case Instr::Op::Compute: {
       ++issued_compute_;
       TC3I_ASSERT(s.cur.count > 0);
       if (--s.cur.count == 0) s.has_cur = false;
-      push_wake(spacing, sid, StallReason::kSpacing);
+      push_wake(spacing, sid, proc, StallReason::kSpacing);
       break;
     }
     case Instr::Op::Load: {
       ++issued_memory_;
       TC3I_ASSERT(s.cur.count > 0);
       if (--s.cur.count == 0) s.has_cur = false;
-      complete_memory_op(sid, now, s.cur.addr);
+      complete_memory_op(sid, proc, now, s.cur.addr);
       break;
     }
     case Instr::Op::Store: {
@@ -420,7 +353,7 @@ void Machine::issue(StreamId sid, std::uint64_t now) {
       memory_.store(s.cur.addr, s.cur.value);
       TC3I_ASSERT(s.cur.count > 0);
       if (--s.cur.count == 0) s.has_cur = false;
-      complete_memory_op(sid, now, s.cur.addr);
+      complete_memory_op(sid, proc, now, s.cur.addr);
       break;
     }
     case Instr::Op::SyncLoad: {
@@ -429,7 +362,7 @@ void Machine::issue(StreamId sid, std::uint64_t now) {
       const SyncAttempt a = memory_.try_sync_load(s.cur.addr, sid);
       if (a.succeeded) {
         s.program->deliver(a.value);
-        complete_memory_op(sid, now, s.cur.addr);
+        complete_memory_op(sid, proc, now, s.cur.addr);
       } else {
         ++sync_blocks_;
         park_sync(sid);
@@ -446,7 +379,7 @@ void Machine::issue(StreamId sid, std::uint64_t now) {
       s.has_cur = false;
       const SyncAttempt a = memory_.try_sync_store(s.cur.addr, s.cur.value, sid);
       if (a.succeeded) {
-        complete_memory_op(sid, now, s.cur.addr);
+        complete_memory_op(sid, proc, now, s.cur.addr);
       } else {
         ++sync_blocks_;
         park_sync(sid);
@@ -474,7 +407,7 @@ void Machine::issue(StreamId sid, std::uint64_t now) {
                              static_cast<std::uint64_t>(sid));
         pending_.push(PendingSpawn{target, software});
       }
-      push_wake(spacing, sid, StallReason::kSpacing);
+      push_wake(spacing, sid, proc, StallReason::kSpacing);
       break;
     }
     case Instr::Op::Quit: {
@@ -485,50 +418,46 @@ void Machine::issue(StreamId sid, std::uint64_t now) {
   }
 }
 
-std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
-  // Exactly one stream is ready machine-wide and every wake due by `now`
-  // has been delivered, so no other stream can issue before the next
-  // pending wake. Within that window this stream's instructions can be
-  // retired without bouncing each one through the wake queue — and entire
-  // Compute runs collapse to arithmetic. Neither the lanes nor the heap
-  // are touched while in here (memory ops complete inline), so `next_due`
-  // is loop-invariant.
-  Processor* proc = nullptr;
-  for (auto& p : procs_)
-    if (p.has_ready()) proc = &p;
-  TC3I_ASSERT(proc != nullptr);
-  Processor& p = *proc;
-  const StreamId sid = p.front_ready();
+std::uint64_t Machine::run_solo(std::uint64_t now, int proc, StreamId sid,
+                               std::uint64_t max_cycles) {
+  // `sid` is the only stream that may issue before the next pending wake
+  // of any processor, which lies beyond its spacing window. Until then its
+  // instructions can be retired without bouncing each one through an issue
+  // queue — and entire Compute runs collapse to arithmetic. No queue is
+  // touched while in here (memory ops complete inline), so `next_due` is
+  // loop-invariant.
+  Processor& p = procs_[static_cast<std::size_t>(proc)];
   Stream& s = streams_[static_cast<std::size_t>(sid)];
   const auto spacing =
       static_cast<std::uint64_t>(config_.issue_spacing_cycles);
-  const std::uint64_t next_due = next_wake();
+  std::uint64_t next_due = kNoWake;
+  for (const IssueQueue& q : queues_)
+    next_due = std::min(next_due, q.next_deliv());
   const bool la0 = config_.lookahead == 0;
 
-  // Slot accounting: every processor but p idles the whole span with a
-  // census that cannot change in here (no foreign issues, no wake
-  // deliveries, no spawns/hand-offs outside the generic exit), so the
-  // foreign span is attributed in one shot at exit. p's own gap cycles are
-  // credited per instruction run via account_solo_idle, which supplies the
-  // reason the solo stream would have been parked with.
+  // Slot accounting: no census changes in here (no foreign issues, no
+  // spawns or hand-offs outside the generic exit, and the solo stream is
+  // not parked between fast-forwarded issues). Every processor but p idles
+  // the whole span, so the foreign span is attributed in one shot at exit;
+  // the scan that popped `sid` already credited cycle `entry` to the
+  // processors before p. p's own gap cycles go, per instruction run, to
+  // the category account_idle would pick with the solo stream parked
+  // under the reason it would have had: spacing or memory.
+  obs::IssueSlotAccount& a = acct_[static_cast<std::size_t>(proc)].acct;
+  std::uint64_t& memory_gap =
+      parked(proc, StallReason::kSync) > 0 ? a.sync : a.memory;
+  std::uint64_t& spacing_gap =
+      parked(proc, StallReason::kSync) > 0       ? a.sync
+      : parked(proc, StallReason::kMemory) > 0 ? a.memory
+      : parked(proc, StallReason::kSpawn) > 0  ? a.spawn
+                                               : a.spacing;
   const std::uint64_t entry = now;
-  const auto foreign_idle = [&](std::uint64_t upto) {
-    if (upto == entry) return;
-    for (auto& q : procs_)
-      if (q.id() != p.id()) account_idle(q.id(), upto - entry);
+  const auto foreign_idle = [&](int q, std::uint64_t upto) {
+    account_idle(q, upto - entry - (q < proc ? 1 : 0));
   };
-
-  // The first issue consumes the ready-queue entry (counting one issue);
-  // later ones are credited analytically.
-  bool popped = false;
-  const auto charge = [&](std::uint64_t n) {
-    if (!popped) {
-      (void)p.pop_ready();
-      --ready_count_;
-      popped = true;
-      --n;
-    }
-    if (n > 0) p.add_issues(n);
+  const auto foreign_idle_all = [&](std::uint64_t upto) {
+    for (int q = 0; q < config_.num_processors; ++q)
+      if (q != proc) foreign_idle(q, upto);
   };
 
   while (true) {
@@ -541,7 +470,7 @@ std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
       std::uint64_t k = s.cur.count;
       if (next_due != kNoWake)
         k = std::min(k, 1 + (next_due - 1 - now) / spacing);
-      charge(k);
+      p.add_issues(k);
       issued_compute_ += k;
       s.issued += k;
       s.cur.count -= k;
@@ -552,20 +481,19 @@ std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
         // A foreign wake lands before (or at) our next issue: queue our
         // wake and let the generic loop arbitrate. Covered cycles end at
         // `last`: k issues plus the k-1 spacing gaps between them.
-        account_solo_idle(p.id(), (k - 1) * (spacing - 1),
-                          StallReason::kSpacing);
-        push_wake(wake, sid, StallReason::kSpacing);
-        foreign_idle(last + 1);
+        spacing_gap += (k - 1) * (spacing - 1);
+        push_wake(wake, sid, proc, StallReason::kSpacing);
+        foreign_idle_all(last + 1);
         return last + 1;
       }
       // Continuing: the trailing spacing gap up to `wake` is covered too.
-      account_solo_idle(p.id(), k * (spacing - 1), StallReason::kSpacing);
+      spacing_gap += k * (spacing - 1);
       now = wake;
       continue;
     }
 
     if (la0 && (s.cur.op == Instr::Op::Load || s.cur.op == Instr::Op::Store)) {
-      charge(1);
+      p.add_issues(1);
       ++issued_memory_;
       ++s.issued;
       if (s.cur.op == Instr::Op::Store) memory_.store(s.cur.addr, s.cur.value);
@@ -576,11 +504,12 @@ std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
       const StallReason why = done > now + spacing ? StallReason::kMemory
                                                    : StallReason::kSpacing;
       if (next_due <= wake) {
-        push_wake(wake, sid, why);
-        foreign_idle(now + 1);
+        push_wake(wake, sid, proc, why);
+        foreign_idle_all(now + 1);
         return now + 1;
       }
-      account_solo_idle(p.id(), wake - now - 1, why);
+      (why == StallReason::kMemory ? memory_gap : spacing_gap) +=
+          wake - now - 1;
       now = wake;
       continue;
     }
@@ -589,21 +518,14 @@ std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
     // path for one instruction, then the generic loop resumes (they can
     // wake other streams or change stream structure). issue() can change
     // foreign censuses (spawn placement, hand-offs), so the exit cycle is
-    // attributed in the slow loop's processor-scan order: processors before
-    // p see the pre-issue census, processors after it the post-issue one.
-    foreign_idle(now);
-    if (!popped) {
-      (void)p.pop_ready();
-      --ready_count_;
-      popped = true;
-    } else {
-      p.add_issues(1);
-    }
-    for (auto& q : procs_)
-      if (q.id() < p.id()) account_idle(q.id(), 1);
+    // attributed in the reference loop's processor-scan order: processors
+    // before p see the pre-issue census, processors after it the post-issue
+    // one.
+    for (int q = 0; q < config_.num_processors; ++q)
+      if (q != proc) foreign_idle(q, q < proc ? now + 1 : now);
+    p.add_issues(1);
     issue(sid, now);
-    for (auto& q : procs_)
-      if (q.id() > p.id()) account_idle(q.id(), 1);
+    for (int q = proc + 1; q < config_.num_processors; ++q) account_idle(q, 1);
     return now + 1;
   }
 }
@@ -614,6 +536,12 @@ void Machine::flush_samples(std::uint64_t now) {
   // boundary flushes before accruing), so the deltas belong entirely to the
   // first unflushed bucket; buckets skipped by idle jumps emit zeros.
   while (sample_next_ <= now) {
+    // Fast path: streams still queued have been ready since their deliv;
+    // credit their share of this bucket (popped ones were credited at pop).
+    if (!slow_)
+      for (const IssueQueue& q : queues_)
+        sample_ready_sum_ +=
+            q.eligible_cycles(sample_next_ - sample_period_, sample_next_);
     std::uint64_t issues_now = 0;
     for (const auto& p : procs_) issues_now += p.issues();
     const auto period = static_cast<double>(sample_period_);
@@ -766,80 +694,81 @@ std::uint64_t Machine::run_fast_loop() {
   const std::uint64_t bucket = config_.timeline_bucket_cycles;
   const auto spacing =
       static_cast<std::uint64_t>(config_.issue_spacing_cycles);
-  // Solo fast-forward: with one ready stream machine-wide (and no tracing
-  // or timeline sampling observing individual instructions), whole
+  const int nprocs = config_.num_processors;
+  // Solo fast-forward: with one stream able to issue machine-wide (and no
+  // tracing or timeline sampling observing individual instructions), whole
   // instruction runs retire analytically. It only pays when no other wake
   // is due within the stream's spacing window; otherwise run_solo would
   // retire one instruction, as the generic loop does more cheaply.
   const bool solo_ok = !tracing && bucket == 0 && sample_period_ == 0;
-  const auto solo_pays = [&] {
-    return solo_ok && ready_count_ == 1 && next_wake() > now + spacing;
+  const auto alone = [&](int proc, std::uint64_t limit) {
+    for (int q = 0; q < nprocs; ++q)
+      if (q != proc &&
+          queues_[static_cast<std::size_t>(q)].next_deliv() <= limit)
+        return false;
+    return true;
   };
   while (live_streams_ > 0 || !pending_.empty()) {
     if (now >= max_cycles) runaway_abort(now);
-    if (tracing) emit_trace_buckets(now, /*final=*/false);
+    // emit_trace_buckets emits nothing before trace_next_.
+    if (tracing && now >= trace_next_)
+      emit_trace_buckets(now, /*final=*/false);
+    if (sample_period_ != 0 && now >= sample_next_) flush_samples(now);
 
-    deliver_due(now, /*from_heap=*/true);
-    if (solo_pays()) {
-      now = run_solo(now, max_cycles);
+    // Each processor issues its smallest eligible key. An issue only parks
+    // streams eligible from now + 1 on, so no processor's choice depends
+    // on another's this cycle.
+    bool any_ready = false;
+    bool solo = false;
+    for (int pi = 0; pi < nprocs; ++pi) {
+      IssueQueue& q = queues_[static_cast<std::size_t>(pi)];
+      if (q.next_deliv() > now) {
+        account_idle(pi, 1);
+        continue;
+      }
+      if (sample_period_ != 0) {
+        // The popped stream was ready at every cycle from its deliv to now,
+        // all of them scanned (the loop never jumps over a cycle at which
+        // anything is eligible); the part before the current sample bucket
+        // was credited when that bucket was flushed.
+        sample_ready_sum_ +=
+            now + 1 - std::max(q.next_deliv(), sample_next_ - sample_period_);
+      }
+      const StreamId sid = q.pop();
+      if (solo_ok && !any_ready && q.next_deliv() > now + spacing &&
+          alone(pi, now + spacing)) {
+        now = run_solo(now, pi, sid, max_cycles);
+        solo = true;
+        break;
+      }
+      any_ready = true;
+      procs_[static_cast<std::size_t>(pi)].add_issues(1);
+      issue(sid, now);
+      if (bucket > 0) {
+        const std::size_t b = static_cast<std::size_t>(now / bucket);
+        if (b >= bucket_issues_.size()) bucket_issues_.resize(b + 1, 0);
+        ++bucket_issues_[b];
+      }
+    }
+    if (solo) continue;
+    if (any_ready) {
+      ++now;
       continue;
     }
 
-    // Window batching: lane heads are delivered inline every cycle, so the
-    // window only has to end where the heap has work: its next due cycle,
-    // pulled in whenever an issued instruction pushes an earlier wake onto
-    // it. (Tracing samples per cycle, so it takes the one-cycle window.)
-    std::uint64_t limit = tracing ? now + 1 : heap_due();
-    pushed_min_ = kNoWake;
-    bool any_ready = false;
-    while (true) {
-      if (now >= max_cycles) runaway_abort(now);
-      if (sample_period_ != 0) {
-        if (now >= sample_next_) flush_samples(now);
-        sample_ready_sum_ += ready_count_;
-      }
-      any_ready = false;
-      for (auto& p : procs_) {
-        if (p.has_ready()) {
-          any_ready = true;
-          --ready_count_;
-          issue(p.pop_ready(), now);
-          if (bucket > 0) {
-            const std::size_t b = static_cast<std::size_t>(now / bucket);
-            if (b >= bucket_issues_.size()) bucket_issues_.resize(b + 1, 0);
-            ++bucket_issues_[b];
-          }
-        } else {
-          account_idle(p.id(), 1);
-        }
-      }
-      if (!any_ready) break;
-      ++now;
-      // A heap wake due at d must be delivered at the start of cycle
-      // max(d, now); end the window there if that is sooner. The
-      // live-stream check mirrors the outer loop: when the last stream
-      // quits mid-window the machine is dead, and scanning another cycle
-      // would attribute a phantom idle slot past the end of the run.
-      limit = std::min(limit, std::max(pushed_min_, now));
-      if (now >= limit || (live_streams_ == 0 && pending_.empty())) break;
-      deliver_due(now, /*from_heap=*/false);
-      if (solo_pays()) break;
-    }
-
-    if (!any_ready) {
-      const std::uint64_t due = next_wake();
-      if (due != kNoWake) {
-        const std::uint64_t next = std::max(now + 1, due);
-        // The last scan attributed cycle `now`; the skipped span up to the
-        // next wake is idle for every processor under an unchanged census.
-        if (next - now > 1)
-          for (auto& p : procs_) account_idle(p.id(), next - now - 1);
-        now = next;
-      } else {
-        // No stream can ever become ready again: every remaining stream is
-        // blocked on a full/empty bit that nobody will flip.
-        TC3I_ASSERT(live_streams_ == 0 && pending_.empty());
-      }
+    std::uint64_t due = kNoWake;
+    for (const IssueQueue& q : queues_) due = std::min(due, q.next_deliv());
+    if (due != kNoWake) {
+      const std::uint64_t next = std::max(now + 1, due);
+      // The scan attributed cycle `now`; the skipped span up to the next
+      // wake is idle for every processor under an unchanged census.
+      if (next - now > 1)
+        for (int pi = 0; pi < nprocs; ++pi) account_idle(pi, next - now - 1);
+      now = next;
+    } else {
+      // No stream can ever become ready again: every remaining stream is
+      // blocked on a full/empty bit that nobody will flip.
+      TC3I_ASSERT(live_streams_ == 0 && pending_.empty());
     }
   }
   return now;

@@ -22,7 +22,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <functional>
 #include <queue>
 #include <set>
 #include <string>
@@ -128,9 +130,10 @@ class Machine {
 
  private:
   /// Why a parked stream is not ready. Mirrors the stall categories of
-  /// obs::IssueSlotAccount; kept per stream (wait_reason) and as a per-
-  /// processor census (ProcAcct::waiting) so every idle issue slot can be
-  /// attributed to exactly one category.
+  /// obs::IssueSlotAccount, so every idle issue slot can be attributed to
+  /// exactly one category: the reference path keeps a per-stream reason
+  /// (wait_reason) and a per-processor census (ProcAcct::waiting); the fast
+  /// path reads its census off the issue queues' sizes.
   enum class StallReason : std::uint8_t {
     kSpacing = 0,  ///< inside the 21-cycle issue spacing / lookahead window
     kSpawn = 1,    ///< paying stream-creation cost
@@ -138,10 +141,10 @@ class Machine {
     kSync = 3,     ///< blocked on a full/empty bit (incl. post-hand-off trip)
   };
   static constexpr std::size_t kNumStallReasons = 4;
-  /// Wake lanes, one per stall reason that schedules a wake (kSync streams
-  /// wait in memory with none), indexed by the reason's value.
+  /// Issue-queue lanes, one per stall reason that schedules a wake (kSync
+  /// streams wait in memory with none), indexed by the reason's value.
   static constexpr std::size_t kNumWakeLanes = 3;
-  /// Due cycle reported for an empty wake queue.
+  /// Cycle reported for an empty wake queue.
   static constexpr std::uint64_t kNoWake = ~0ull;
 
   struct Stream {
@@ -151,13 +154,15 @@ class Machine {
     Instr cur;
     bool has_cur = false;
     bool dead = false;
-    StallReason wait_reason = StallReason::kSpacing;  ///< valid while parked
+    /// Valid while parked; read by the reference path only (and for the
+    /// kSync census on both).
+    StallReason wait_reason = StallReason::kSpacing;
     std::uint64_t issued = 0;     ///< instructions this stream issued
     std::uint64_t activated = 0;  ///< cycle activate() ran
   };
 
-  /// Per-processor issue-slot account plus the census of parked streams by
-  /// stall reason that idle cycles are attributed from.
+  /// Per-processor issue-slot account plus the reference path's census of
+  /// parked streams by stall reason (the fast path keeps only kSync here).
   struct ProcAcct {
     obs::IssueSlotAccount acct;
     std::array<std::uint32_t, kNumStallReasons> waiting{};
@@ -171,67 +176,200 @@ class Machine {
     std::uint64_t stream_cycles = 0;
   };
 
+  /// Reference path: a wake in the binary heap.
   struct Wake {
     std::uint64_t cycle;
     StreamId stream;
-    int proc = -1;  ///< the stream's processor (lane entries only)
     bool operator>(const Wake& o) const {
       return cycle != o.cycle ? cycle > o.cycle : stream > o.stream;
     }
-    bool operator<(const Wake& o) const { return o > *this; }
   };
 
-  /// Fast path: a FIFO ring of wakes in ascending (cycle, stream id)
-  /// order, so the due ones are always a prefix (see docs/PERFORMANCE.md,
-  /// "Wake lanes over the reference heap"). Grows by doubling, so its
-  /// capacity tracks the most streams ever parked in it at once.
-  class WakeLane {
-   public:
-    [[nodiscard]] bool empty() const { return head_ == tail_; }
-    [[nodiscard]] const Wake& front() const { return ring_[head_ & mask_]; }
-    /// front().cycle, or kNoWake when the lane is empty.
-    [[nodiscard]] std::uint64_t front_cycle() const { return front_cycle_; }
-    /// True when a wake due at `at` keeps the lane in due-cycle order.
-    [[nodiscard]] bool accepts(std::uint64_t at) const {
-      return at >= back_ || empty();
+  /// Fast path: a parked stream in its processor's issue queue, ordered by
+  /// (deliv, due, stream). `due` is the cycle its wake was scheduled for
+  /// and `deliv` the first cycle it may issue: the cycle the reference
+  /// loop would append it to the processor's ready ring, which is `due`
+  /// except that a wake pushed while cycle c is scanned cannot be
+  /// delivered before c + 1. The reference ring is therefore in key order,
+  /// and its front is the smallest key with deliv <= now (see
+  /// docs/PERFORMANCE.md, "Per-processor issue queues").
+  struct Entry {
+    std::uint64_t deliv;
+    StreamId stream;
+    /// deliv - due: 1 for a zero-cost spawn made while a cycle is scanned,
+    /// else 0 (every wake is due no earlier than the cycle that pushes it).
+    std::uint8_t lag;
+    StallReason why;
+    bool operator<(const Entry& o) const {
+      if (deliv != o.deliv) return deliv < o.deliv;
+      if (lag != o.lag) return lag > o.lag;  // the earlier due first
+      return stream < o.stream;
     }
-    /// Appends `w` (accepts(w.cycle) must hold), moving it ahead of any
-    /// wakes due the same cycle with a larger stream id.
-    void push(Wake w) {
-      if (tail_ - head_ == ring_.size()) grow();
+    bool operator>(const Entry& o) const { return o < *this; }
+  };
+
+  /// A FIFO ring of entries in ascending key order. A processor holds at
+  /// most `capacity` live streams, each with at most one entry, so the ring
+  /// never fills.
+  class Lane {
+   public:
+    explicit Lane(std::size_t capacity)
+        : ring_(std::bit_ceil(capacity)), mask_(ring_.size() - 1) {}
+    [[nodiscard]] bool empty() const { return head_ == tail_; }
+    [[nodiscard]] std::size_t size() const { return tail_ - head_; }
+    [[nodiscard]] const Entry& front() const { return ring_[head_ & mask_]; }
+    /// True when appending `e` keeps the lane in key order.
+    [[nodiscard]] bool accepts(const Entry& e) const {
+      return empty() || e.deliv > back_deliv_ ||
+             (e.deliv == back_deliv_ && e.lag <= back_lag_);
+    }
+    /// Appends `e` (accepts(e) must hold), moving it ahead of the entries
+    /// with its (deliv, due) and a larger stream id.
+    void push(const Entry& e) {
       std::size_t i = tail_++;
       for (; i != head_; --i) {
-        const Wake& prev = ring_[(i - 1) & mask_];
-        if (prev.cycle != w.cycle || prev.stream < w.stream) break;
+        const Entry& prev = ring_[(i - 1) & mask_];
+        if (prev.deliv != e.deliv || prev.lag != e.lag ||
+            prev.stream < e.stream)
+          break;
         ring_[i & mask_] = prev;
       }
-      ring_[i & mask_] = w;
-      back_ = w.cycle;
-      // Only a push into an empty lane changes the head's cycle.
-      front_cycle_ = std::min(front_cycle_, w.cycle);
+      ring_[i & mask_] = e;
+      back_deliv_ = e.deliv;
+      back_lag_ = e.lag;
     }
-    void pop() {
-      ++head_;
-      front_cycle_ = head_ != tail_ ? front().cycle : kNoWake;
+    void pop() { ++head_; }
+    /// Sum over entries of the cycles in [from, to) at or past their
+    /// deliv. The lane is in deliv order, so only that prefix is visited.
+    [[nodiscard]] std::uint64_t eligible_cycles(std::uint64_t from,
+                                                std::uint64_t to) const {
+      std::uint64_t sum = 0;
+      for (std::size_t i = head_; i != tail_; ++i) {
+        const std::uint64_t deliv = ring_[i & mask_].deliv;
+        if (deliv >= to) break;
+        sum += to - std::max(deliv, from);
+      }
+      return sum;
     }
 
    private:
-    void grow() {
-      std::vector<Wake> bigger(std::max<std::size_t>(64, ring_.size() * 2));
-      for (std::size_t i = 0; head_ + i != tail_; ++i)
-        bigger[i] = ring_[(head_ + i) & mask_];
-      tail_ -= head_;
-      head_ = 0;
-      ring_ = std::move(bigger);
-      mask_ = ring_.size() - 1;
-    }
-
-    std::vector<Wake> ring_;  ///< power-of-two size
-    std::size_t mask_ = 0;
+    std::vector<Entry> ring_;  ///< power-of-two size
+    std::size_t mask_;
     std::size_t head_ = 0;  ///< indices wrap modulo ring size; head <= tail
     std::size_t tail_ = 0;
-    std::uint64_t back_ = 0;  ///< due cycle of the last wake pushed
-    std::uint64_t front_cycle_ = kNoWake;
+    std::uint64_t back_deliv_ = 0;  ///< key of the last entry pushed
+    std::uint8_t back_lag_ = 0;
+  };
+
+  /// Fast path: one processor's parked streams. Each stall reason's entries
+  /// go to its lane while they arrive in key order, the rest to an overflow
+  /// heap. The processor issues its smallest key once next_deliv() <= now.
+  class IssueQueue {
+   public:
+    explicit IssueQueue(std::size_t capacity)
+        : lanes_{{Lane(capacity), Lane(capacity), Lane(capacity)}} {}
+    /// The smallest key's deliv (the first cycle anything here may issue),
+    /// or kNoWake when empty.
+    [[nodiscard]] std::uint64_t next_deliv() const {
+      return head_deliv_[best_];
+    }
+    /// Streams parked here under `why`.
+    [[nodiscard]] std::size_t parked(StallReason why) const {
+      const auto r = static_cast<std::size_t>(why);
+      return lanes_[r].size() + heap_parked_[r];
+    }
+    [[gnu::always_inline]] void push(const Entry& e) {
+      std::size_t src = static_cast<std::size_t>(e.why);
+      if (lanes_[src].accepts(e)) {
+        lanes_[src].push(e);
+      } else {
+        heap_.push_back(e);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        ++heap_parked_[src];
+        src = kHeap;
+      }
+      // `e` is now its source's head exactly when its key is below the old
+      // head's (an accepted lane entry below the head has the lane's
+      // (deliv, due) and moved to its front), and the queue's best source
+      // when its key is below the old best.
+      const std::uint64_t tie = tie_of(e);
+      if (less(e.deliv, tie, head_deliv_[src], head_tie_[src])) {
+        head_deliv_[src] = e.deliv;
+        head_tie_[src] = tie;
+        if (less(e.deliv, tie, head_deliv_[best_], head_tie_[best_]))
+          best_ = src;
+      }
+    }
+    /// Removes the smallest key and returns its stream.
+    [[gnu::always_inline]] StreamId pop() {
+      StreamId sid;
+      const Entry* head = nullptr;
+      if (best_ == kHeap) {
+        sid = heap_.front().stream;
+        --heap_parked_[static_cast<std::size_t>(heap_.front().why)];
+        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        heap_.pop_back();
+        if (!heap_.empty()) head = &heap_.front();
+      } else {
+        Lane& lane = lanes_[best_];
+        sid = lane.front().stream;
+        lane.pop();
+        if (!lane.empty()) head = &lane.front();
+      }
+      head_deliv_[best_] = head != nullptr ? head->deliv : kNoWake;
+      head_tie_[best_] = head != nullptr ? tie_of(*head) : kNoWake;
+      // Which source leads is data-dependent, so select without branches.
+      std::size_t best = 0;
+      std::uint64_t deliv = head_deliv_[0];
+      std::uint64_t tie = head_tie_[0];
+      for (std::size_t src = 1; src < kSources; ++src) {
+        const bool lt = less(head_deliv_[src], head_tie_[src], deliv, tie);
+        best = lt ? src : best;
+        deliv = lt ? head_deliv_[src] : deliv;
+        tie = lt ? head_tie_[src] : tie;
+      }
+      best_ = best;
+      return sid;
+    }
+    /// Sum over entries of the cycles in [from, to) at or past their deliv:
+    /// how long they have sat in the reference loop's ready ring over that
+    /// span (timeline sampling).
+    [[nodiscard]] std::uint64_t eligible_cycles(std::uint64_t from,
+                                                std::uint64_t to) const {
+      if (next_deliv() >= to) return 0;
+      std::uint64_t sum = 0;
+      for (const Lane& lane : lanes_) sum += lane.eligible_cycles(from, to);
+      for (const Entry& e : heap_)
+        if (e.deliv < to) sum += to - std::max(e.deliv, from);
+      return sum;
+    }
+
+   private:
+    /// Sources: the lanes (indexed by StallReason), then the heap.
+    static constexpr std::size_t kHeap = kNumWakeLanes;
+    static constexpr std::size_t kSources = kNumWakeLanes + 1;
+    /// The key after deliv as one integer: the earlier due, then the
+    /// smaller stream id.
+    static std::uint64_t tie_of(const Entry& e) {
+      return (std::uint64_t{1u - e.lag} << 32) |
+             static_cast<std::uint32_t>(e.stream);
+    }
+    static bool less(std::uint64_t deliv_a, std::uint64_t tie_a,
+                     std::uint64_t deliv_b, std::uint64_t tie_b) {
+      return (deliv_a < deliv_b) | ((deliv_a == deliv_b) & (tie_a < tie_b));
+    }
+
+    /// Each source's smallest key as (deliv, tie_of), kNoWake in both when
+    /// the source is empty; side by side so pop() finds the next best
+    /// source without touching the entries.
+    std::array<std::uint64_t, kSources> head_deliv_{kNoWake, kNoWake, kNoWake,
+                                                     kNoWake};
+    std::array<std::uint64_t, kSources> head_tie_{kNoWake, kNoWake, kNoWake,
+                                                   kNoWake};
+    std::size_t best_ = 0;  ///< the source of the smallest key
+    std::array<Lane, kNumWakeLanes> lanes_;
+    std::vector<Entry> heap_;  ///< min-heap by key
+    std::array<std::uint32_t, kNumWakeLanes> heap_parked_{};
   };
 
   struct PendingSpawn {
@@ -331,47 +469,46 @@ class Machine {
   }
 
   void activate(StreamProgram* program, bool software, std::uint64_t now);
+  /// Executes the current instruction of `sid` at cycle `now`.
   void issue(StreamId sid, std::uint64_t now);
   void finish_stream(StreamId sid, std::uint64_t now);
   std::uint64_t network_service(std::uint64_t now, Address addr);
-  void complete_memory_op(StreamId sid, std::uint64_t now, Address addr);
+  void complete_memory_op(StreamId sid, int proc, std::uint64_t now,
+                          Address addr);
   void process_handoffs(std::uint64_t now);
-  /// Parks `sid` (census +1 under `why`) and queues its wake: on the fast
-  /// path in `why`'s lane when that keeps the lane ordered, else (and
-  /// always on the reference path) on the heap.
-  void push_wake(std::uint64_t at, StreamId sid, StallReason why);
-  /// Fast path: readies every wake due at or before `now` in (cycle, stream
-  /// id) order, the reference heap's pop order, by merging the lanes (and,
-  /// when `from_heap`, the heap's due prefix).
-  void deliver_due(std::uint64_t now, bool from_heap);
-  /// The heap's earliest due cycle, or kNoWake.
-  [[nodiscard]] std::uint64_t heap_due() const {
-    return heap_.empty() ? kNoWake : heap_.top().cycle;
-  }
-  /// Fast path: the earliest lane head's due cycle, or kNoWake.
-  [[nodiscard]] std::uint64_t lane_due() const {
-    std::uint64_t due = kNoWake;
-    for (const WakeLane& lane : lanes_) due = std::min(due, lane.front_cycle());
-    return due;
-  }
-  /// Fast path: the earliest pending wake over lanes and heap, or kNoWake.
-  [[nodiscard]] std::uint64_t next_wake() const {
-    return std::min(heap_due(), lane_due());
+  /// Parks `sid`, which runs on `proc`, until cycle `at` under `why`: on
+  /// the fast path in `proc`'s issue queue, eligible from max(at, floor);
+  /// on the reference path in the heap (census +1 under `why`).
+  [[gnu::always_inline]] void push_wake(std::uint64_t at, StreamId sid,
+                                        int proc, StallReason why,
+                                        std::uint64_t floor = 0) {
+    if (slow_) {
+      streams_[static_cast<std::size_t>(sid)].wait_reason = why;
+      ++acct_[static_cast<std::size_t>(proc)]
+            .waiting[static_cast<std::size_t>(why)];
+      heap_.push(Wake{at, sid});
+      return;
+    }
+    const std::uint64_t deliv = std::max(at, floor);
+    queues_[static_cast<std::size_t>(proc)].push(
+        Entry{deliv, sid, static_cast<std::uint8_t>(deliv - at), why});
   }
   /// Parks `sid` with no wake: it waits in memory on a full/empty bit.
   void park_sync(StreamId sid);
+  /// Reference path: appends a delivered wake to its processor's ring.
   void make_stream_ready(StreamId sid);
-  /// make_stream_ready for a stream known to sit on `proc`, parked under
-  /// `why` (a lane delivery: no Stream lookup).
-  void make_stream_ready(StreamId sid, int proc, StallReason why);
+  /// Streams parked on `proc` under `why`, on either path.
+  [[nodiscard]] std::size_t parked(int proc, StallReason why) const {
+    if (slow_ || why == StallReason::kSync)
+      return acct_[static_cast<std::size_t>(proc)]
+          .waiting[static_cast<std::size_t>(why)];
+    return queues_[static_cast<std::size_t>(proc)].parked(why);
+  }
   /// Attributes `n` idle cycles of processor `proc` to one stall category:
   /// no_stream when the processor has no live streams, otherwise the
-  /// highest-priority reason in its parked-stream census
+  /// highest-priority reason among its parked streams
   /// (sync > memory > spawn > spacing).
   void account_idle(int proc, std::uint64_t n);
-  /// account_idle over the census plus the solo stream virtually parked
-  /// with `solo` (run_solo does not park between fast-forwarded issues).
-  void account_solo_idle(int proc, std::uint64_t n, StallReason solo);
   /// Timeline sampling (a timeline store set at construction): called per
   /// scanned cycle; emits every complete sample bucket ending at or before
   /// `now` from the deltas accumulated since the previous flush.
@@ -379,12 +516,14 @@ class Machine {
   /// Emits the trailing partial bucket and hands the run's timeline to the
   /// store.
   void finish_timeline(std::uint64_t now);
-  /// Fast-forwards the machine while exactly one stream is ready
-  /// machine-wide (see docs/PERFORMANCE.md for the legality argument).
-  /// Returns the cycle the generic loop resumes at.
-  std::uint64_t run_solo(std::uint64_t now, std::uint64_t max_cycles);
-  /// The fast simulation loop: wake lanes over the heap, window batching
-  /// and solo fast-forwarding. Returns the cycle the run ended at.
+  /// Fast-forwards the machine while `sid`, just popped from processor
+  /// `proc`'s queue at cycle `now`, is the only stream able to issue (see
+  /// docs/PERFORMANCE.md for the legality argument). Returns the cycle the
+  /// generic loop resumes at.
+  std::uint64_t run_solo(std::uint64_t now, int proc, StreamId sid,
+                         std::uint64_t max_cycles);
+  /// The fast simulation loop: per-processor issue queues and solo
+  /// fast-forwarding. Returns the cycle the run ended at.
   std::uint64_t run_fast_loop();
   /// The reference simulation loop (slow_ only): binary-heap wake queue,
   /// one cycle at a time. Returns the cycle the run ended at.
@@ -413,17 +552,13 @@ class Machine {
   SyncMemory memory_;
   std::vector<Processor> procs_;
   std::vector<Stream> streams_;
-  /// Wake queue, fast path: the wake lanes (indexed by StallReason) carry
-  /// every wake that arrives in due-cycle order for its reason; heap_ takes
-  /// the rest.
-  std::array<WakeLane, kNumWakeLanes> lanes_;
-  std::vector<Wake> due_;  ///< deliver_due()'s scratch for a merged drain
+  /// Fast path: one issue queue per processor.
+  std::vector<IssueQueue> queues_;
   /// Completion cycles of each stream's outstanding memory ops, oldest
   /// first (lookahead > 0 only, else empty; indexed by StreamId; at most
   /// lookahead + 1 entries per stream).
   std::vector<std::vector<std::uint64_t>> outstanding_;
-  /// Wake queue of the reference path (every wake) and the fast path's
-  /// overflow (wakes that would break their lane's order).
+  /// Reference path: wake queue (every wake).
   std::priority_queue<Wake, std::vector<Wake>, std::greater<>> heap_;
   std::queue<PendingSpawn> pending_;
   std::uint64_t network_free_fp_ = 0;
@@ -431,10 +566,7 @@ class Machine {
   std::vector<std::uint64_t> bank_free_fp_;  // sized memory_banks when enabled
   LoadTracker load_tracker_;
   int free_slots_ = 0;  ///< machine-wide free hardware stream slots
-  std::uint64_t ready_count_ = 0;  ///< streams in ready queues, fast path
-  /// Earliest wake pushed onto the heap during the current issue window
-  /// (fast path); the window ends early when one lands inside it.
-  std::uint64_t pushed_min_ = kNoWake;
+  std::uint64_t ready_count_ = 0;  ///< streams in ready rings, reference path
 
   std::vector<ProcAcct> acct_;  // sized num_processors
   std::vector<RegionTally> region_tallies_;

@@ -1,6 +1,7 @@
 // Per-processor state of the MTA machine simulator: the pool of hardware
-// stream slots and the ready queue from which one instruction is issued per
-// clock cycle.
+// stream slots, the issue tally, and the reference loop's ready queue from
+// which one instruction is issued per clock cycle (the fast loop issues from
+// its per-processor issue queues instead; see mta/machine.hpp).
 #pragma once
 
 #include <bit>
@@ -58,8 +59,8 @@ class Processor {
     return ring_[head_ & ring_mask_];
   }
 
-  /// Credits issue slots retired analytically (the machine's compute-run
-  /// fast-forward path, which bypasses pop_ready's per-issue increment).
+  /// Credits issue slots that bypass pop_ready: the fast loop's issues and
+  /// the ones its compute-run fast-forward retires analytically.
   void add_issues(std::uint64_t n) { issues_ += n; }
 
  private:

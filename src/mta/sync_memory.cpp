@@ -1,12 +1,15 @@
 #include "mta/sync_memory.hpp"
 
+#include <new>
+
 #include "core/contracts.hpp"
 
 namespace tc3i::mta {
 
-SyncMemory::SyncMemory(std::size_t size) {
+SyncMemory::SyncMemory(std::size_t size) : size_(size) {
   TC3I_EXPECTS(size > 0);
-  words_.resize(size);
+  words_.reset(static_cast<Cell*>(std::calloc(size, sizeof(Cell))));
+  if (words_ == nullptr) throw std::bad_alloc();
   obs::CounterRegistry& reg = obs::default_registry();
   c_ops_ = &reg.counter("mta.syncmem.ops");
   c_retries_ = &reg.counter("mta.syncmem.failed_attempts");
@@ -14,12 +17,12 @@ SyncMemory::SyncMemory(std::size_t size) {
 }
 
 SyncMemory::Cell& SyncMemory::cell(Address addr) {
-  TC3I_EXPECTS(addr < words_.size());
+  TC3I_EXPECTS(addr < size_);
   return words_[addr];
 }
 
 Word SyncMemory::load(Address addr) const {
-  TC3I_EXPECTS(addr < words_.size());
+  TC3I_EXPECTS(addr < size_);
   return words_[addr].value;
 }
 
@@ -42,7 +45,7 @@ void SyncMemory::reset_empty(Address addr) {
 }
 
 bool SyncMemory::is_full(Address addr) const {
-  TC3I_EXPECTS(addr < words_.size());
+  TC3I_EXPECTS(addr < size_);
   return words_[addr].full;
 }
 

@@ -13,9 +13,12 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -35,21 +38,22 @@ struct SyncAttempt {
 
 class SyncMemory {
  private:
-  // Deliberately no default member initializers: a trivially-default-
-  // constructible Cell lets the 16 MiB `words_` fill lower to one memset
-  // (measurably faster than the per-member store loop NSDMIs force), and
-  // every construction site value-initializes (vector resize), which
-  // zeroes all members anyway.
+  // Deliberately no default member initializers: Cell must stay trivial so
+  // that calloc's zeroed pages are valid cells (value 0, EMPTY).
   struct Cell {
     Word value;
     bool full;
+  };
+  static_assert(std::is_trivial_v<Cell>);
+  struct FreeCells {
+    void operator()(Cell* cells) const { std::free(cells); }
   };
 
  public:
   /// Creates a memory of `size` words, all EMPTY with value 0.
   explicit SyncMemory(std::size_t size);
 
-  [[nodiscard]] std::size_t size() const { return words_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   // --- unsynchronized access (ignores full/empty bits) -------------------
   [[nodiscard]] Word load(Address addr) const;
@@ -104,7 +108,11 @@ class SyncMemory {
 
   Cell& cell(Address addr);
 
-  std::vector<Cell> words_;
+  /// calloc'd, so a run touches only the pages it uses: the zero pages
+  /// of an untouched 16 MiB array cost no memory, where value-initializing
+  /// a vector wrote every one of them per Machine.
+  std::unique_ptr<Cell[], FreeCells> words_;
+  std::size_t size_ = 0;
   // Waiter queues are sparse: only contended addresses ever allocate one.
   std::unordered_map<Address, std::deque<StreamId>> load_waiters_;
   std::unordered_map<Address, std::deque<std::pair<StreamId, Word>>>

@@ -2,14 +2,20 @@
 // streams (deadlock-free by construction) must always terminate,
 // deterministically, with conserved instruction counts — across random
 // configurations — and the fast path must match the slow reference loop
-// exactly on every seed.
+// exactly on every seed, with and without a sampled timeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "mta/machine.hpp"
+#include "obs/context.hpp"
+#include "obs/timeline.hpp"
 
 namespace tc3i::mta {
 namespace {
@@ -21,6 +27,7 @@ struct FuzzResult {
   std::uint64_t spawns;
   std::uint64_t completed;
   std::vector<obs::IssueSlotAccount> processor_slots;
+  std::string timeline_csv;  ///< empty unless sampled
 };
 
 /// What a ring program mixes in beyond its sync/compute/load pipeline.
@@ -40,13 +47,15 @@ enum class Mode {
 /// With spawns, segments also spawn short compute/load children, mixing
 /// hardware and software creation under random (possibly zero) costs;
 /// children never synchronize, so the ring stays deadlock-free even when
-/// they are virtualized. `slow` selects the reference simulation loop.
+/// they are virtualized. `slow` selects the reference simulation loop;
+/// a nonzero `sample_period` runs under a timeline store with that period
+/// and returns its CSV.
 FuzzResult run_ring(std::uint64_t seed, bool slow = false,
-                    Mode mode = Mode::kPlain) {
+                    Mode mode = Mode::kPlain, std::uint64_t sample_period = 0) {
   const bool spawns = mode != Mode::kPlain;
   Rng rng(seed);
   MtaConfig cfg;
-  cfg.num_processors = 1 + static_cast<int>(rng.next_below(3));
+  cfg.num_processors = 1 + static_cast<int>(rng.next_below(8));
   cfg.clock_hz = 100e6;
   cfg.streams_per_processor = 4 + static_cast<int>(rng.next_below(125));
   cfg.issue_spacing_cycles = 1 + static_cast<int>(rng.next_below(30));
@@ -73,6 +82,14 @@ FuzzResult run_ring(std::uint64_t seed, bool slow = false,
     cfg.hash_addresses = false;
   }
   cfg.slow_reference = slow;
+  std::optional<obs::TimelineStore> store;
+  std::optional<obs::ScopedContext> scope;
+  if (sample_period != 0) {
+    store.emplace(sample_period);
+    obs::Context ctx = obs::current_context();
+    ctx.timeline = &*store;
+    scope.emplace(ctx);
+  }
   Machine machine(cfg);
 
   const int n = 2 + static_cast<int>(rng.next_below(40));
@@ -112,23 +129,41 @@ FuzzResult run_ring(std::uint64_t seed, bool slow = false,
   EXPECT_EQ(result.instructions_issued, expected_instr) << "seed " << seed;
   EXPECT_EQ(result.streams_completed,
             static_cast<std::uint64_t>(n) + children);
+  std::ostringstream csv;
+  if (store) store->write_csv(csv);
   return FuzzResult{result.cycles,       result.instructions_issued,
                     result.memory_ops,   result.spawns,
                     result.streams_completed,
-                    std::move(result.processor_slots)};
+                    std::move(result.processor_slots), csv.str()};
 }
 
 /// The fast path must reproduce the reference loop on every deterministic
-/// result: totals and the per-processor issue-slot account.
+/// result: totals and the per-processor issue-slot account, and, under a
+/// sampled timeline (which also turns off solo fast-forwarding), every
+/// sample of every series.
 void expect_matches_reference(std::uint64_t seed, Mode mode) {
-  const FuzzResult f = run_ring(seed, /*slow=*/false, mode);
-  const FuzzResult s = run_ring(seed, /*slow=*/true, mode);
-  EXPECT_EQ(f.cycles, s.cycles) << "seed " << seed;
-  EXPECT_EQ(f.instructions, s.instructions) << "seed " << seed;
-  EXPECT_EQ(f.memory_ops, s.memory_ops) << "seed " << seed;
-  EXPECT_EQ(f.spawns, s.spawns) << "seed " << seed;
-  EXPECT_EQ(f.completed, s.completed) << "seed " << seed;
-  EXPECT_EQ(f.processor_slots, s.processor_slots) << "seed " << seed;
+  const FuzzResult plain = run_ring(seed, /*slow=*/false, mode);
+  // A small period, drawn apart from the ring's own stream of draws and
+  // coarsened to at most ~200 buckets so long runs stay cheap to print.
+  Rng period_rng(seed ^ 0x5eedf00dULL);
+  const std::uint64_t period =
+      std::max(1 + period_rng.next_below(64), plain.cycles / 200);
+  for (const std::uint64_t sample_period : {std::uint64_t{0}, period}) {
+    const FuzzResult f = sample_period == 0
+                             ? plain
+                             : run_ring(seed, /*slow=*/false, mode,
+                                        sample_period);
+    const FuzzResult s = run_ring(seed, /*slow=*/true, mode, sample_period);
+    EXPECT_EQ(f.cycles, s.cycles) << "seed " << seed;
+    EXPECT_EQ(f.instructions, s.instructions) << "seed " << seed;
+    EXPECT_EQ(f.memory_ops, s.memory_ops) << "seed " << seed;
+    EXPECT_EQ(f.spawns, s.spawns) << "seed " << seed;
+    EXPECT_EQ(f.completed, s.completed) << "seed " << seed;
+    EXPECT_EQ(f.processor_slots, s.processor_slots) << "seed " << seed;
+    EXPECT_EQ(f.timeline_csv, s.timeline_csv)
+        << "seed " << seed << " sample period " << sample_period;
+    EXPECT_EQ(f.timeline_csv.empty(), sample_period == 0) << "seed " << seed;
+  }
 }
 
 class MtaFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};

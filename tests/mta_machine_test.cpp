@@ -244,6 +244,85 @@ TEST(MtaMachine, DeterministicAcrossIdenticalRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// The delivery floor: a wake becomes eligible at its due cycle, except that
+// a wake pushed while cycle t is scanned cannot issue before t + 1. Each
+// case runs on both simulation paths.
+
+TEST(MtaMachine, ZeroCostInitialStreamsIssueAtCycleZero) {
+  for (const bool slow : {false, true}) {
+    MtaConfig cfg = test_config();
+    cfg.hw_spawn_cycles = 0;
+    cfg.timeline_bucket_cycles = 1;  // one utilization sample per cycle
+    cfg.slow_reference = slow;
+    Machine m(cfg);
+    ProgramPool pool;
+    VectorProgram* p = pool.make_vector();
+    p->compute(1);
+    m.add_stream(p);
+    const auto r = m.run();
+    // Compute at cycle 0, Quit one spacing window later.
+    ASSERT_FALSE(r.utilization_timeline.empty()) << "slow " << slow;
+    EXPECT_EQ(r.utilization_timeline[0], 1.0) << "slow " << slow;
+    EXPECT_EQ(r.cycles, 21u + 1u) << "slow " << slow;
+    EXPECT_EQ(r.slots.spawn, 0u) << "slow " << slow;
+  }
+}
+
+TEST(MtaMachine, ZeroCostSpawnIssuesOnTheNextCycle) {
+  for (const bool slow : {false, true}) {
+    MtaConfig cfg = test_config(2);
+    cfg.hw_spawn_cycles = 0;
+    // Per-cycle samples keep the generic loop (no solo fast-forward), whose
+    // scan is what must not issue the child in the cycle that spawns it.
+    cfg.timeline_bucket_cycles = 1;
+    cfg.slow_reference = slow;
+    Machine m(cfg);
+    ProgramPool pool;
+    // The parent (processor 0) spawns at cycle 0; the child lands on the
+    // idle processor 1, which the same cycle's scan reaches after the
+    // spawn, yet it may issue only at cycle 1.
+    VectorProgram* child = pool.make_vector();
+    child->compute(1);
+    VectorProgram* parent = pool.make_vector();
+    parent->spawn(child);
+    m.add_stream(parent);
+    const auto r = m.run();
+    // Child: compute at 1, Quit at 22; the parent quits at 21.
+    EXPECT_EQ(r.cycles, 21u + 2u) << "slow " << slow;
+    ASSERT_EQ(r.processor_slots.size(), 2u);
+    // Processor 1's cycle-0 slot waits on the spawn.
+    EXPECT_EQ(r.processor_slots[1].spawn, 1u) << "slow " << slow;
+  }
+}
+
+TEST(MtaMachine, ZeroCostSpawnIsOrderedByDueCycleBeforeStreamId) {
+  for (const bool slow : {false, true}) {
+    MtaConfig cfg = test_config();
+    cfg.hw_spawn_cycles = 0;
+    cfg.issue_spacing_cycles = 2;
+    cfg.slow_reference = slow;
+    Machine m(cfg);
+    ProgramPool pool;
+    constexpr Address kCell = 5;
+    // Stream 0 issues at 0 and spawns stream 2 at 2 (due 2, eligible 3).
+    // Stream 1 issues at 1, so its wake is due 3. At cycle 3 the child's
+    // earlier due cycle beats stream 1's smaller id: the child stores at
+    // 3, stream 1 at 4, and stream 1's value is the one left in memory.
+    VectorProgram* child = pool.make_vector();
+    child->store(kCell, 2);
+    VectorProgram* parent = pool.make_vector();
+    parent->compute(1);
+    parent->spawn(child);
+    VectorProgram* other = pool.make_vector();
+    other->compute(1);
+    other->store(kCell, 1);
+    m.add_stream(parent);
+    m.add_stream(other);
+    (void)m.run();
+    EXPECT_EQ(m.memory().load(kCell), 1) << "slow " << slow;
+  }
+}
+
 TEST(MtaMachineDeathTest, DeadlockIsDetected) {
   Machine m(test_config());
   ProgramPool pool;
